@@ -1,27 +1,30 @@
 #!/usr/bin/env sh
-# Perf smoke for the hot paths:
-#   1. query serving — reruns the recalibration scenario of
-#      abl_query_throughput and compares per-query times against the
-#      committed baseline (fails only on a >2x slowdown, so shared/noisy
-#      CI hosts don't fail builds on jitter while a genuine hot-path
-#      regression still trips it);
-#   2. write-ahead journaling — reruns abl_durable_overhead and applies a
-#      soft <= 5% guard on the per-segment journal's overhead over the
-#      monitored reconstruction loop (paired-sample median, so the number
-#      is stable even on busy hosts);
-#   3. model-quality ingest tap — reruns the BM_QualityIngestOverhead
-#      ablation and enforces the < 3% total-obs-overhead budget for the
-#      scorer + drift detectors riding the management server's ingest
-#      path with the null sink (paired-batch median);
-#   4. overload control — reruns BM_GovernorOverhead and enforces the
-#      < 2% budget for the pressure governor's hooks (signal sampling,
-#      ladder update, admission token probes) on the monitored
-#      reconstruction loop with every budget open (paired-cycle median);
-#   5. fleet serving — reruns the BM_FleetSweep ablation and applies a
-#      soft <= 2x budget on the per-tenant overhead of the fleet machinery
-#      (scheduler, bulkhead governors, health ladder) over the identical
-#      tenant driven solo, plus a bounded-staleness check (p99 <= 3 x
-#      alpha_model ticks at every sweep size, 1024 tenants included).
+# Perf smoke for the hot paths. Each guard is one row of the GUARDS table
+# below: bench binary, benchmark filter, JSON key, budget and direction.
+#   1. query serving — abl_query_throughput's RecalibrationSpeedup
+#      per-query times may be at most 2x the committed baseline (generous,
+#      so shared/noisy CI hosts don't fail builds on jitter while a genuine
+#      hot-path regression still trips it);
+#   2. write-ahead journaling — abl_durable_overhead's per-segment journal
+#      overhead over the monitored reconstruction loop stays <= 5%
+#      (paired-sample median, stable even on busy hosts);
+#   3. model-quality ingest tap — BM_QualityIngestOverhead: the scorer +
+#      drift detectors riding the management server's ingest path with the
+#      null sink stay under the 3% obs-overhead budget (paired-batch
+#      median);
+#   4. overload control — BM_GovernorOverhead: the pressure governor's
+#      hooks (signal sampling, ladder update, admission token probes) on
+#      the monitored reconstruction loop with every budget open stay under
+#      2% (paired-cycle median);
+#   5. fleet serving — BM_FleetSweep at 64/256/1024 tenants: the
+#      per-tenant overhead of the fleet machinery (scheduler, bulkhead
+#      governors, health ladder) over the identical tenant driven solo
+#      stays <= 2x (soft: single-iteration sweeps jitter on shared hosts),
+#      and p99 model staleness stays <= 3 x alpha_model ticks at every
+#      size, 1024 tenants included.
+#
+# Every row runs and prints a verdict per benchmark entry; the script
+# exits nonzero when any row failed.
 #
 # Usage: bench/perf_smoke.sh [build-dir] [baseline-json]
 
@@ -29,17 +32,6 @@ set -eu
 
 build_dir="${1:-build}"
 baseline="${2:-bench/baselines/BENCH_abl_query_throughput.json}"
-bin="$build_dir/bench/abl_query_throughput"
-out="$build_dir/PERF_SMOKE_abl_query_throughput.json"
-
-if [ ! -x "$bin" ]; then
-  echo "error: $bin not found — build the project first" >&2
-  exit 1
-fi
-if [ ! -f "$baseline" ]; then
-  echo "error: baseline $baseline not found" >&2
-  exit 1
-fi
 
 # The committed baselines are recorded from a Release build; comparing a
 # Debug run against them produces spurious FAILs (or, worse, re-recording
@@ -64,229 +56,115 @@ case "$build_type" in
     ;;
 esac
 
-"$bin" --benchmark_filter=RecalibrationSpeedup \
-       --benchmark_out="$out" --benchmark_out_format=json >/dev/null
-
-python3 - "$baseline" "$out" <<'EOF'
+exec python3 - "$build_dir" "$baseline" <<'EOF'
 import json
+import os
+import re
+import subprocess
 import sys
 
-SLOWDOWN_LIMIT = 2.0
-KEYS = ("incremental_us_per_query", "full_us_per_query")
+build_dir, baseline_path = sys.argv[1], sys.argv[2]
+
+# Direction "max": the value may not exceed the budget. "max_x_baseline":
+# the value may not exceed budget x the committed baseline's value for the
+# same benchmark entry.
+GUARDS = [
+    # bench binary, benchmark filter, JSON key, budget, direction
+    ("abl_query_throughput", "RecalibrationSpeedup",
+     "incremental_us_per_query", 2.0, "max_x_baseline"),
+    ("abl_query_throughput", "RecalibrationSpeedup",
+     "full_us_per_query", 2.0, "max_x_baseline"),
+    ("abl_durable_overhead", "", "per_segment_overhead_pct", 5.0, "max"),
+    ("abl_obs_overhead", "QualityIngestOverhead",
+     "quality_ingest_overhead_pct", 3.0, "max"),
+    ("abl_overload", "GovernorOverhead", "governor_overhead_pct", 2.0, "max"),
+    ("abl_fleet", "FleetSweep", "per_tenant_overhead_ratio", 2.0, "max"),
+    # 3 x alpha_model (= 6 in the sweep config).
+    ("abl_fleet", "FleetSweep", "staleness_p99_ticks", 18.0, "max"),
+]
 
 
-def load(path):
+def entries(path, flt, key):
+    """Returns {benchmark name: value of key} over the entries matching
+    flt, and the highest SIMD tier they report (0 when none do)."""
     with open(path) as f:
         doc = json.load(f)
-    out, tiers = {}, set()
+    values, tier = {}, 0
     for bench in doc.get("benchmarks", []):
         name = bench.get("name", "")
-        if "RecalibrationSpeedup" not in name:
+        if not re.search(flt, name):
             continue
-        if "simd_tier" in bench:
-            tiers.add(int(bench["simd_tier"]))
-        for key in KEYS:
-            if key in bench:
-                out[(name, key)] = float(bench[key])
-    return out, (max(tiers) if tiers else 0)
+        tier = max(tier, int(bench.get("simd_tier", 0)))
+        if key in bench:
+            values[name] = float(bench[key])
+    return values, tier
 
 
-base, base_tier = load(sys.argv[1])
-fresh, fresh_tier = load(sys.argv[2])
-if not fresh:
-    print("FAIL  no RecalibrationSpeedup results in fresh run")
-    sys.exit(1)
+runs = {}  # (bench, filter) -> fresh JSON path, or None if the run failed
 
-failed = False
-for key, fresh_v in sorted(fresh.items()):
-    base_v = base.get(key)
-    if base_v is None or base_v <= 0.0:
-        print(f"skip  {key[0]} {key[1]}: no baseline")
-        continue
-    ratio = fresh_v / base_v
-    verdict = "FAIL" if ratio > SLOWDOWN_LIMIT else "ok  "
-    print(f"{verdict}  {key[0]} {key[1]}: "
-          f"baseline {base_v:.3f}us fresh {fresh_v:.3f}us ({ratio:.2f}x)")
-    failed = failed or ratio > SLOWDOWN_LIMIT
-    # Soft SIMD guard: against the scalar-recorded baseline, a SIMD tier
-    # is expected to be at least as fast. A WARN (not a failure — shared
-    # hosts are noisy) flags a vectorized build that lost its speedup.
-    if fresh_tier > base_tier and ratio > 1.0:
-        print(f"WARN  {key[0]} {key[1]}: simd tier {fresh_tier} is slower "
-              f"than the tier-{base_tier} baseline ({ratio:.2f}x) — "
-              f"vectorized kernels may have regressed")
 
-sys.exit(1 if failed else 0)
-EOF
+def run(bench, flt):
+    if (bench, flt) not in runs:
+        binary = os.path.join(build_dir, "bench", bench)
+        out = os.path.join(build_dir, "PERF_SMOKE_%s.json" % bench)
+        cmd = [binary, "--benchmark_out=" + out,
+               "--benchmark_out_format=json"]
+        if flt:
+            cmd.append("--benchmark_filter=" + flt)
+        try:
+            code = subprocess.run(cmd, stdout=subprocess.DEVNULL).returncode
+        except OSError as e:
+            print("error: cannot run %s (%s) — build the project first"
+                  % (binary, e.strerror))
+            code = 1
+        runs[(bench, flt)] = out if code == 0 else None
+    return runs[(bench, flt)]
 
-# --- durable journal overhead guard -----------------------------------------
 
-durable_bin="$build_dir/bench/abl_durable_overhead"
-durable_out="$build_dir/PERF_SMOKE_abl_durable_overhead.json"
+def check(bench, flt, key, budget, direction):
+    """Prints one verdict per benchmark entry; returns False on any FAIL."""
+    path = run(bench, flt)
+    fresh, fresh_tier = entries(path, flt, key) if path else ({}, 0)
+    if not fresh:
+        print("FAIL  %s %s: no result in the fresh run" % (bench, key))
+        return False
+    if direction == "max":
+        ok = True
+        for name, v in fresh.items():
+            verdict = "ok  " if v <= budget else "FAIL"
+            print("%s  %s %s: %.3f (limit %.3f)" % (verdict, name, key, v,
+                                                    budget))
+            ok = ok and v <= budget
+        return ok
+    if not os.path.isfile(baseline_path):
+        print("FAIL  %s %s: baseline %s not found" % (bench, key,
+                                                      baseline_path))
+        return False
+    base, base_tier = entries(baseline_path, flt, key)
+    ok = True
+    for name, v in fresh.items():
+        base_v = base.get(name, 0.0)
+        if base_v <= 0.0:
+            print("skip  %s %s: no baseline" % (name, key))
+            continue
+        ratio = v / base_v
+        verdict = "ok  " if ratio <= budget else "FAIL"
+        print("%s  %s %s: baseline %.3fus fresh %.3fus (%.2fx, limit %.1fx)"
+              % (verdict, name, key, base_v, v, ratio, budget))
+        ok = ok and ratio <= budget
+        # Soft SIMD guard: against the scalar-recorded baseline, a SIMD tier
+        # is expected to be at least as fast. A WARN (not a failure —
+        # shared hosts are noisy) flags a vectorized build that lost its
+        # speedup.
+        if fresh_tier > base_tier and ratio > 1.0:
+            print("WARN  %s %s: simd tier %d is slower than the tier-%d "
+                  "baseline (%.2fx) — vectorized kernels may have regressed"
+                  % (name, key, fresh_tier, base_tier, ratio))
+    return ok
 
-if [ ! -x "$durable_bin" ]; then
-  echo "error: $durable_bin not found — build the project first" >&2
-  exit 1
-fi
 
-"$durable_bin" --benchmark_out="$durable_out" \
-               --benchmark_out_format=json >/dev/null
-
-python3 - "$durable_out" <<'EOF'
-import json
-import sys
-
-OVERHEAD_LIMIT_PCT = 5.0
-
-with open(sys.argv[1]) as f:
-    doc = json.load(f)
-
-pct = None
-for bench in doc.get("benchmarks", []):
-    if "per_segment_overhead_pct" in bench:
-        pct = float(bench["per_segment_overhead_pct"])
-if pct is None:
-    print("FAIL  no per_segment_overhead_pct in durable overhead run")
-    sys.exit(1)
-
-verdict = "FAIL" if pct > OVERHEAD_LIMIT_PCT else "ok  "
-print(f"{verdict}  journal per-segment overhead {pct:+.2f}% "
-      f"(soft limit {OVERHEAD_LIMIT_PCT:.1f}%)")
-sys.exit(1 if pct > OVERHEAD_LIMIT_PCT else 0)
-EOF
-
-# --- model-quality ingest overhead guard ------------------------------------
-# Reruns the BM_QualityIngestOverhead ablation: the quality monitor
-# (scorer + drift detectors + window mirror) attached to the management
-# server's ingest path must keep total obs overhead under the 3% design
-# budget with the null sink (paired-batch median, same methodology as the
-# journal guard above).
-
-quality_bin="$build_dir/bench/abl_obs_overhead"
-quality_out="$build_dir/PERF_SMOKE_abl_obs_overhead.json"
-
-if [ ! -x "$quality_bin" ]; then
-  echo "error: $quality_bin not found — build the project first" >&2
-  exit 1
-fi
-
-"$quality_bin" --benchmark_filter=QualityIngestOverhead \
-               --benchmark_out="$quality_out" \
-               --benchmark_out_format=json >/dev/null
-
-python3 - "$quality_out" <<'EOF'
-import json
-import sys
-
-OVERHEAD_LIMIT_PCT = 3.0
-
-with open(sys.argv[1]) as f:
-    doc = json.load(f)
-
-pct = None
-for bench in doc.get("benchmarks", []):
-    if "quality_ingest_overhead_pct" in bench:
-        pct = float(bench["quality_ingest_overhead_pct"])
-if pct is None:
-    print("FAIL  no quality_ingest_overhead_pct in obs overhead run")
-    sys.exit(1)
-
-verdict = "FAIL" if pct > OVERHEAD_LIMIT_PCT else "ok  "
-print(f"{verdict}  quality monitor ingest overhead {pct:+.2f}% "
-      f"(limit {OVERHEAD_LIMIT_PCT:.1f}%)")
-sys.exit(1 if pct > OVERHEAD_LIMIT_PCT else 0)
-EOF
-
-# --- overload governor overhead guard ---------------------------------------
-# Reruns the BM_GovernorOverhead ablation: the overload control plane
-# (per-interval signal sample + ladder update, per-offer and per-rebuild
-# token probes) riding the monitored reconstruction loop must stay under
-# the 2% design budget when every budget is open (paired-cycle median).
-
-overload_bin="$build_dir/bench/abl_overload"
-overload_out="$build_dir/PERF_SMOKE_abl_overload.json"
-
-if [ ! -x "$overload_bin" ]; then
-  echo "error: $overload_bin not found — build the project first" >&2
-  exit 1
-fi
-
-"$overload_bin" --benchmark_filter=GovernorOverhead \
-                --benchmark_out="$overload_out" \
-                --benchmark_out_format=json >/dev/null
-
-python3 - "$overload_out" <<'EOF'
-import json
-import sys
-
-OVERHEAD_LIMIT_PCT = 2.0
-
-with open(sys.argv[1]) as f:
-    doc = json.load(f)
-
-pct = None
-for bench in doc.get("benchmarks", []):
-    if "governor_overhead_pct" in bench:
-        pct = float(bench["governor_overhead_pct"])
-if pct is None:
-    print("FAIL  no governor_overhead_pct in overload overhead run")
-    sys.exit(1)
-
-verdict = "FAIL" if pct > OVERHEAD_LIMIT_PCT else "ok  "
-print(f"{verdict}  overload governor overhead {pct:+.2f}% "
-      f"(limit {OVERHEAD_LIMIT_PCT:.1f}%)")
-sys.exit(1 if pct > OVERHEAD_LIMIT_PCT else 0)
-EOF
-
-# --- fleet serving overhead guard -------------------------------------------
-# Reruns the BM_FleetSweep ablation: per-tenant per-tick cost inside the
-# fleet (scheduler, bulkhead governors, health ladder, keyed injection
-# scope) vs. the identical tenant driven solo, at 64/256/1024 tenants.
-# The overhead ratio carries a soft <= 2x budget (the solo side is
-# min-of-bracketing-passes, but single-iteration sweeps still jitter on
-# shared hosts), and p99 model staleness must stay within 3 x alpha_model
-# ticks at every size — the "bounded staleness at 1k tenants" target.
-
-fleet_bin="$build_dir/bench/abl_fleet"
-fleet_out="$build_dir/PERF_SMOKE_abl_fleet.json"
-
-if [ ! -x "$fleet_bin" ]; then
-  echo "error: $fleet_bin not found — build the project first" >&2
-  exit 1
-fi
-
-"$fleet_bin" --benchmark_filter=FleetSweep \
-             --benchmark_out="$fleet_out" \
-             --benchmark_out_format=json >/dev/null
-
-python3 - "$fleet_out" <<'EOF'
-import json
-import sys
-
-RATIO_LIMIT = 2.0
-STALENESS_LIMIT_TICKS = 18.0  # 3 x alpha_model (= 6 in the sweep config)
-
-with open(sys.argv[1]) as f:
-    doc = json.load(f)
-
-rows = []
-for bench in doc.get("benchmarks", []):
-    if "per_tenant_overhead_ratio" in bench:
-        rows.append((int(bench["tenants"]),
-                     float(bench["per_tenant_overhead_ratio"]),
-                     float(bench.get("staleness_p99_ticks", 0.0))))
-if not rows:
-    print("FAIL  no per_tenant_overhead_ratio in fleet sweep run")
-    sys.exit(1)
-
-failed = False
-for tenants, ratio, staleness in sorted(rows):
-    bad = ratio > RATIO_LIMIT or staleness > STALENESS_LIMIT_TICKS
-    verdict = "FAIL" if bad else "ok  "
-    print(f"{verdict}  fleet {tenants:>4} tenants: per-tenant overhead "
-          f"{ratio:.2f}x (limit {RATIO_LIMIT:.1f}x), p99 staleness "
-          f"{staleness:.0f} ticks (limit {STALENESS_LIMIT_TICKS:.0f})")
-    failed = failed or bad
-
+failed = [guard for guard in GUARDS if not check(*guard)]
+for bench, _, key, _, _ in failed:
+    print("perf smoke: guard %s %s failed" % (bench, key))
 sys.exit(1 if failed else 0)
 EOF

@@ -2,15 +2,16 @@
 /// Model lifecycle: construct a KERT-BN on the management server, persist
 /// it, reload it elsewhere (e.g. in an autonomic component), verify it
 /// answers queries identically, and watch a drift detector decide when the
-/// shipped model has gone stale and must be replaced.
+/// shipped model has gone stale and must be replaced. Exits nonzero if
+/// drift never confirms within the shifted intervals.
 
 #include <cstdio>
-#include <sstream>
+#include <vector>
 
 #include "common/stats.hpp"
-#include "kert/drift.hpp"
 #include "kert/kert_builder.hpp"
 #include "kert/serialize.hpp"
+#include "obs/quality/drift.hpp"
 #include "sosim/synthetic.hpp"
 #include "workflow/ediamond.hpp"
 
@@ -36,41 +37,47 @@ int main() {
               loaded.net.log_likelihood(probe));
 
   // The shipped model serves predictions; a drift detector watches its
-  // per-interval score.
-  core::DriftDetector detector({.delta = 0.1, .lambda = 3.0});
+  // per-interval score, standardized against the nominal intervals.
   auto interval_score = [&](sim::SyntheticEnvironment& e) {
     const bn::Dataset interval = e.generate(20, rng);
     return loaded.net.log10_likelihood(interval) / 20.0;
   };
+  std::vector<double> nominal(8);
+  for (double& score : nominal) score = interval_score(env);
+  const double nominal_mean = mean(nominal);
+  const double nominal_sd = stddev(nominal);
+
+  quality::DriftDetector detector;
+  auto observe = [&](std::size_t i, double score) {
+    const double z = (score - nominal_mean) / nominal_sd;
+    const quality::DriftState state = detector.add(z);
+    std::printf("  interval %2zu: score %+.3f  z %+7.2f  drift=%s\n", i, score,
+                z, quality::to_string(state));
+    return state;
+  };
 
   std::printf("monitoring intervals (nominal regime):\n");
-  for (int i = 0; i < 8; ++i) {
-    const double score = interval_score(env);
-    detector.add(score);
-    std::printf("  interval %2d: score %+.3f  drift=%s\n", i, score,
-                detector.drifted() ? "YES" : "no");
-  }
+  for (std::size_t i = 0; i < nominal.size(); ++i) observe(i, nominal[i]);
 
   std::printf("\n*** remote locator degrades 1.8x ***\n");
   sim::SyntheticEnvironment shifted = env;
   shifted.accelerate_service(S::kImageLocatorRemote, 1.8);
-  for (int i = 8; i < 24; ++i) {
-    const double score = interval_score(shifted);
-    const bool alarm = detector.add(score);
-    std::printf("  interval %2d: score %+.3f  drift=%s\n", i, score,
-                alarm ? "YES" : "no");
-    if (alarm) {
-      std::printf("\ndrift confirmed -> reconstructing from fresh window\n");
-      const bn::Dataset fresh = shifted.generate(400, rng);
-      const core::KertResult rebuilt = core::construct_kert_continuous(
-          shifted.workflow(), shifted.sharing(), fresh);
-      const bn::Dataset check = shifted.generate(100, rng);
-      std::printf("stale model fit: %.2f; rebuilt model fit: %.2f "
-                  "(log10/row)\n",
-                  loaded.net.log10_likelihood(check) / 100.0,
-                  rebuilt.net.log10_likelihood(check) / 100.0);
-      break;
+  for (std::size_t i = 8; i < 24; ++i) {
+    if (observe(i, interval_score(shifted)) !=
+        quality::DriftState::kConfirmed) {
+      continue;
     }
+    std::printf("\ndrift confirmed -> reconstructing from fresh window\n");
+    const bn::Dataset fresh = shifted.generate(400, rng);
+    const core::KertResult rebuilt = core::construct_kert_continuous(
+        shifted.workflow(), shifted.sharing(), fresh);
+    const bn::Dataset check = shifted.generate(100, rng);
+    std::printf("stale model fit: %.2f; rebuilt model fit: %.2f "
+                "(log10/row)\n",
+                loaded.net.log10_likelihood(check) / 100.0,
+                rebuilt.net.log10_likelihood(check) / 100.0);
+    return 0;
   }
-  return 0;
+  std::printf("\nerror: drift never confirmed\n");
+  return 1;
 }

@@ -1,84 +1,50 @@
 #include "fleet/status.hpp"
 
-#include <cstdio>
-
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 
 namespace kertbn::fleet {
 
-namespace {
-
-void field_u64(std::string& out, const char* key, std::uint64_t v) {
-  char buf[96];
-  std::snprintf(buf, sizeof(buf), "\"%s\":%llu,", key,
-                static_cast<unsigned long long>(v));
-  out += buf;
-}
-
-void field_f64(std::string& out, const char* key, double v) {
-  char buf[96];
-  std::snprintf(buf, sizeof(buf), "\"%s\":%.17g,", key, v);
-  out += buf;
-}
-
-void field_str(std::string& out, const char* key, const std::string& v) {
-  // Fleet strings are enum names — no escaping needed.
-  out += '"';
-  out += key;
-  out += "\":\"";
-  out += v;
-  out += "\",";
-}
-
-void close_object(std::string& out) {
-  if (out.back() == ',') out.back() = '}';
-  else out += '}';
-}
-
-}  // namespace
-
 std::string FleetStatus::to_json() const {
-  std::string out = "{";
-  field_u64(out, "ticks", ticks);
-  field_u64(out, "tenants", tenants);
-  field_u64(out, "shards", shards);
-  field_u64(out, "healthy", healthy);
-  field_u64(out, "probation", probation);
-  field_u64(out, "quarantined", quarantined);
-  field_u64(out, "health_none", health_none);
-  field_u64(out, "health_fresh", health_fresh);
-  field_u64(out, "health_stale", health_stale);
-  field_u64(out, "health_fallback", health_fallback);
-  field_u64(out, "health_degraded", health_degraded);
-  field_u64(out, "quarantine_events", quarantine_events);
-  field_u64(out, "readmissions", readmissions);
-  field_u64(out, "crash_recoveries", crash_recoveries);
-  field_u64(out, "rebuilds", rebuilds);
-  field_u64(out, "scheduler_granted", scheduler_granted);
-  field_u64(out, "scheduler_deferred", scheduler_deferred);
-  field_u64(out, "governor_deferred", governor_deferred);
-  field_u64(out, "aborted_rebuilds", aborted_rebuilds);
-  field_f64(out, "staleness_p50_ticks", staleness_p50_ticks);
-  field_f64(out, "staleness_p99_ticks", staleness_p99_ticks);
-  field_f64(out, "staleness_max_ticks", staleness_max_ticks);
-  out += "\"shards_detail\":[";
+  obs::json::Writer w;
+  w.begin_object()
+      .field("ticks", ticks)
+      .field("tenants", tenants)
+      .field("shards", shards)
+      .field("healthy", healthy)
+      .field("probation", probation)
+      .field("quarantined", quarantined)
+      .field("health_none", health_none)
+      .field("health_fresh", health_fresh)
+      .field("health_stale", health_stale)
+      .field("health_fallback", health_fallback)
+      .field("health_degraded", health_degraded)
+      .field("quarantine_events", quarantine_events)
+      .field("readmissions", readmissions)
+      .field("crash_recoveries", crash_recoveries)
+      .field("rebuilds", rebuilds)
+      .field("scheduler_granted", scheduler_granted)
+      .field("scheduler_deferred", scheduler_deferred)
+      .field("governor_deferred", governor_deferred)
+      .field("aborted_rebuilds", aborted_rebuilds)
+      .field("staleness_p50_ticks", staleness_p50_ticks)
+      .field("staleness_p99_ticks", staleness_p99_ticks)
+      .field("staleness_max_ticks", staleness_max_ticks);
+  w.key("shards_detail").begin_array();
   for (const ShardStatus& s : shard_status) {
-    out += '{';
-    field_u64(out, "shard", s.shard);
-    field_u64(out, "tenants", s.tenants);
-    field_str(out, "governor_level", s.governor_level);
-    field_u64(out, "rebuilds", s.rebuilds);
-    field_u64(out, "governor_deferred", s.governor_deferred);
-    field_u64(out, "aborted_rebuilds", s.aborted_rebuilds);
-    field_u64(out, "shed_intervals", s.shed_intervals);
-    field_u64(out, "restarts", s.restarts);
-    close_object(out);
-    out += ',';
+    w.begin_object()
+        .field("shard", s.shard)
+        .field("tenants", s.tenants)
+        .field("governor_level", s.governor_level)
+        .field("rebuilds", s.rebuilds)
+        .field("governor_deferred", s.governor_deferred)
+        .field("aborted_rebuilds", s.aborted_rebuilds)
+        .field("shed_intervals", s.shed_intervals)
+        .field("restarts", s.restarts)
+        .end_object();
   }
-  if (out.back() == ',') out.back() = ']';
-  else out += ']';
-  out += '}';
-  return out;
+  w.end_array().end_object();
+  return w.take();
 }
 
 void publish_fleet_metrics(const FleetStatus& status) {

@@ -5,6 +5,8 @@
 #include <cstdlib>
 #include <stdexcept>
 
+#include "obs/json.hpp"
+
 namespace kertbn::obs {
 
 namespace {
@@ -23,30 +25,15 @@ const auto g_anchor = process_start();
 
 std::atomic<std::uint64_t> g_next_thread_ordinal{0};
 
-void append_number(std::string& out, std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%llu", static_cast<unsigned long long>(v));
-  out += buf;
-}
-
-void append_number(std::string& out, double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  out += buf;
-}
-
-void append_tag_value(std::string& out, const SpanTag& tag) {
-  if (const auto* u = std::get_if<std::uint64_t>(&tag.value)) {
-    append_number(out, *u);
-  } else if (const auto* d = std::get_if<double>(&tag.value)) {
-    append_number(out, *d);
-  } else if (const auto* b = std::get_if<bool>(&tag.value)) {
-    out += *b ? "true" : "false";
-  } else {
-    out += '"';
-    out += json_escape(std::get<std::string>(tag.value));
-    out += '"';
+/// Appends the "tags" member, omitted when there are none.
+void write_tags(json::Writer& w, const std::vector<SpanTag>& tags) {
+  if (tags.empty()) return;
+  w.key("tags").begin_object();
+  for (const SpanTag& tag : tags) {
+    w.key(tag.key);
+    std::visit([&w](const auto& v) { w.value(v); }, tag.value);
   }
+  w.end_object();
 }
 
 }  // namespace
@@ -105,29 +92,6 @@ bool init_from_env() {
   }
   set_sink(std::make_shared<FileSink>(path, options));
   return true;
-}
-
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 // --------------------------------------------------------------- FileSink
@@ -193,109 +157,59 @@ void FileSink::write_line(const std::string& line) {
 }
 
 void FileSink::on_span(const SpanEvent& event) {
-  std::string line = "{\"type\":\"span\",\"name\":\"";
-  line += json_escape(event.name);
-  line += "\",\"trace\":";
-  append_number(line, event.trace_id);
-  line += ",\"span\":";
-  append_number(line, event.span_id);
-  line += ",\"parent\":";
-  append_number(line, event.parent_id);
-  line += ",\"thread\":";
-  append_number(line, event.thread_id);
-  line += ",\"t_ns\":";
-  append_number(line, event.start_ns);
-  line += ",\"dur_ns\":";
-  append_number(line, event.duration_ns);
-  if (!event.tags.empty()) {
-    line += ",\"tags\":{";
-    bool first = true;
-    for (const SpanTag& tag : event.tags) {
-      if (!first) line += ',';
-      first = false;
-      line += '"';
-      line += json_escape(tag.key);
-      line += "\":";
-      append_tag_value(line, tag);
-    }
-    line += '}';
-  }
-  line += "}\n";
-  write_line(line);
+  json::Writer w;
+  w.begin_object()
+      .field("type", "span")
+      .field("name", event.name)
+      .field("trace", event.trace_id)
+      .field("span", event.span_id)
+      .field("parent", event.parent_id)
+      .field("thread", event.thread_id)
+      .field("t_ns", event.start_ns)
+      .field("dur_ns", event.duration_ns);
+  write_tags(w, event.tags);
+  w.end_object();
+  write_line(w.take() + '\n');
 }
 
 void FileSink::on_event(const LogEvent& event) {
-  std::string line = "{\"type\":\"event\",\"name\":\"";
-  line += json_escape(event.name);
-  line += "\",\"t_ns\":";
-  append_number(line, event.t_ns);
-  if (!event.tags.empty()) {
-    line += ",\"tags\":{";
-    bool first = true;
-    for (const SpanTag& tag : event.tags) {
-      if (!first) line += ',';
-      first = false;
-      line += '"';
-      line += json_escape(tag.key);
-      line += "\":";
-      append_tag_value(line, tag);
-    }
-    line += '}';
-  }
-  line += "}\n";
-  write_line(line);
+  json::Writer w;
+  w.begin_object()
+      .field("type", "event")
+      .field("name", event.name)
+      .field("t_ns", event.t_ns);
+  write_tags(w, event.tags);
+  w.end_object();
+  write_line(w.take() + '\n');
 }
 
 void FileSink::on_metrics(const MetricsSnapshot& snapshot,
                           std::uint64_t t_ns) {
-  std::string line = "{\"type\":\"metrics\",\"t_ns\":";
-  append_number(line, t_ns);
-  line += ",\"counters\":{";
-  bool first = true;
-  for (const auto& [name, v] : snapshot.counters) {
-    if (!first) line += ',';
-    first = false;
-    line += '"';
-    line += json_escape(name);
-    line += "\":";
-    append_number(line, v);
-  }
-  line += "},\"gauges\":{";
-  first = true;
-  for (const auto& [name, v] : snapshot.gauges) {
-    if (!first) line += ',';
-    first = false;
-    line += '"';
-    line += json_escape(name);
-    line += "\":";
-    append_number(line, v);
-  }
-  line += "},\"histograms\":{";
-  first = true;
+  json::Writer w;
+  w.begin_object().field("type", "metrics").field("t_ns", t_ns);
+  w.key("counters").begin_object();
+  for (const auto& [name, v] : snapshot.counters) w.field(name, v);
+  w.end_object();
+  w.key("gauges").begin_object();
+  for (const auto& [name, v] : snapshot.gauges) w.field(name, v);
+  w.end_object();
+  w.key("histograms").begin_object();
   for (const auto& [name, h] : snapshot.histograms) {
-    if (!first) line += ',';
-    first = false;
-    line += '"';
-    line += json_escape(name);
-    line += "\":{\"count\":";
-    append_number(line, h.count);
-    line += ",\"sum\":";
-    append_number(line, h.sum);
-    line += ",\"max\":";
-    append_number(line, h.max);
-    line += ",\"buckets\":[";
+    w.key(name)
+        .begin_object()
+        .field("count", h.count)
+        .field("sum", h.sum)
+        .field("max", h.max);
+    w.key("buckets").begin_array();
     // Trailing zero buckets are elided to keep lines short; consumers
     // treat missing entries as zero.
     std::size_t last = HistogramStats::kBuckets;
     while (last > 0 && h.buckets[last - 1] == 0) --last;
-    for (std::size_t i = 0; i < last; ++i) {
-      if (i > 0) line += ',';
-      append_number(line, h.buckets[i]);
-    }
-    line += "]}";
+    for (std::size_t i = 0; i < last; ++i) w.value(h.buckets[i]);
+    w.end_array().end_object();
   }
-  line += "}}\n";
-  write_line(line);
+  w.end_object().end_object();
+  write_line(w.take() + '\n');
 }
 
 void FileSink::flush() {

@@ -151,7 +151,4 @@ void flush_sink();
 /// it with size-capped rotation. Returns true when a sink was installed.
 bool init_from_env();
 
-/// Escapes \p s for embedding in a JSON string literal (quotes excluded).
-std::string json_escape(std::string_view s);
-
 }  // namespace kertbn::obs

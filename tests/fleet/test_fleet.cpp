@@ -263,6 +263,62 @@ TEST(Fleet, StatusJsonCarriesTheRollup) {
   EXPECT_EQ(json.find('\n'), std::string::npos);  // JSONL-appendable.
 }
 
+// The fleet benchmark hashes these bytes into its final-state digest, so
+// the exact text is part of the contract, not just the fields it carries.
+TEST(Fleet, StatusJsonBytesArePinned) {
+  fleet::FleetStatus s;
+  s.ticks = 15;
+  s.tenants = 8;
+  s.shards = 2;
+  s.healthy = 6;
+  s.probation = 1;
+  s.quarantined = 1;
+  s.health_fresh = 5;
+  s.health_stale = 1;
+  s.health_fallback = 1;
+  s.health_degraded = 1;
+  s.quarantine_events = 3;
+  s.readmissions = 2;
+  s.crash_recoveries = 1;
+  s.rebuilds = 40;
+  s.scheduler_granted = 41;
+  s.scheduler_deferred = 7;
+  s.governor_deferred = 4;
+  s.aborted_rebuilds = 1;
+  s.staleness_p50_ticks = 2.5;
+  s.staleness_p99_ticks = 0.1 + 0.2;  // Needs all 17 digits.
+  s.staleness_max_ticks = 12.0;
+  s.shard_status = {{0, 4, "normal", 22, 1, 0, 0, 0},
+                    {1, 4, "shedding", 18, 3, 1, 5, 1}};
+  EXPECT_EQ(
+      s.to_json(),
+      R"({"ticks":15,"tenants":8,"shards":2,"healthy":6,"probation":1,)"
+      R"("quarantined":1,"health_none":0,"health_fresh":5,"health_stale":1,)"
+      R"("health_fallback":1,"health_degraded":1,"quarantine_events":3,)"
+      R"("readmissions":2,"crash_recoveries":1,"rebuilds":40,)"
+      R"("scheduler_granted":41,"scheduler_deferred":7,)"
+      R"("governor_deferred":4,"aborted_rebuilds":1,)"
+      R"("staleness_p50_ticks":2.5,)"
+      R"("staleness_p99_ticks":0.30000000000000004,)"
+      R"("staleness_max_ticks":12,"shards_detail":[)"
+      R"({"shard":0,"tenants":4,"governor_level":"normal","rebuilds":22,)"
+      R"("governor_deferred":1,"aborted_rebuilds":0,"shed_intervals":0,)"
+      R"("restarts":0},)"
+      R"({"shard":1,"tenants":4,"governor_level":"shedding","rebuilds":18,)"
+      R"("governor_deferred":3,"aborted_rebuilds":1,"shed_intervals":5,)"
+      R"("restarts":1}]})");
+  EXPECT_EQ(
+      fleet::FleetStatus{}.to_json(),
+      R"({"ticks":0,"tenants":0,"shards":0,"healthy":0,"probation":0,)"
+      R"("quarantined":0,"health_none":0,"health_fresh":0,"health_stale":0,)"
+      R"("health_fallback":0,"health_degraded":0,"quarantine_events":0,)"
+      R"("readmissions":0,"crash_recoveries":0,"rebuilds":0,)"
+      R"("scheduler_granted":0,"scheduler_deferred":0,)"
+      R"("governor_deferred":0,"aborted_rebuilds":0,)"
+      R"("staleness_p50_ticks":0,"staleness_p99_ticks":0,)"
+      R"("staleness_max_ticks":0,"shards_detail":[]})");
+}
+
 TEST(Fleet, PublishMetricsFeedsThePrometheusSurface) {
   Fleet fleet(small_fleet_config());
   fleet.run_ticks(15);

@@ -1,204 +1,34 @@
 #pragma once
 /// \file jsonl_util.hpp
-/// Minimal JSON / JSONL reader for round-tripping the FileSink's output in
-/// tests. Supports exactly the subset the sink emits: objects, arrays,
-/// strings with escapes, numbers, booleans, null.
+/// Reads the FileSink's JSONL output back in tests, through the shared
+/// codec (obs/json.hpp). Everything here throws, so a malformed line or a
+/// missing key fails the test loudly instead of reading a default.
 
-#include <cctype>
 #include <cstdint>
 #include <fstream>
-#include <map>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "obs/json.hpp"
+
 namespace kertbn::testutil {
 
-struct Json {
-  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
-  Kind kind = Kind::kNull;
-  bool boolean = false;
-  double number = 0.0;
-  std::string string;
-  std::vector<Json> array;
-  std::map<std::string, Json> object;
+using Json = obs::json::Value;
 
-  bool has(const std::string& key) const {
-    return kind == Kind::kObject && object.count(key) > 0;
+/// The member \p key of object \p v.
+inline const Json& at(const Json& v, std::string_view key) {
+  const Json* member = v.find(key);
+  if (member == nullptr) {
+    throw std::runtime_error("jsonl_util: missing key " + std::string(key));
   }
-  const Json& at(const std::string& key) const {
-    if (!has(key)) throw std::runtime_error("jsonl_util: missing key " + key);
-    return object.at(key);
-  }
-  std::uint64_t as_u64() const { return static_cast<std::uint64_t>(number); }
-};
+  return *member;
+}
 
-class JsonParser {
- public:
-  explicit JsonParser(std::string_view text) : text_(text) {}
-
-  Json parse() {
-    Json v = parse_value();
-    skip_ws();
-    if (pos_ != text_.size()) fail("trailing characters");
-    return v;
-  }
-
- private:
-  [[noreturn]] void fail(const char* what) const {
-    throw std::runtime_error(std::string("jsonl_util: ") + what + " at " +
-                             std::to_string(pos_));
-  }
-
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-  }
-
-  char peek() {
-    if (pos_ >= text_.size()) fail("unexpected end");
-    return text_[pos_];
-  }
-
-  void expect(char c) {
-    if (peek() != c) fail("unexpected character");
-    ++pos_;
-  }
-
-  bool consume(char c) {
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  bool consume_word(std::string_view word) {
-    if (text_.substr(pos_, word.size()) == word) {
-      pos_ += word.size();
-      return true;
-    }
-    return false;
-  }
-
-  Json parse_value() {
-    skip_ws();
-    const char c = peek();
-    if (c == '{') return parse_object();
-    if (c == '[') return parse_array();
-    if (c == '"') {
-      Json v;
-      v.kind = Json::Kind::kString;
-      v.string = parse_string();
-      return v;
-    }
-    if (consume_word("true")) {
-      Json v;
-      v.kind = Json::Kind::kBool;
-      v.boolean = true;
-      return v;
-    }
-    if (consume_word("false")) {
-      Json v;
-      v.kind = Json::Kind::kBool;
-      return v;
-    }
-    if (consume_word("null")) return {};
-    return parse_number();
-  }
-
-  Json parse_object() {
-    Json v;
-    v.kind = Json::Kind::kObject;
-    expect('{');
-    skip_ws();
-    if (consume('}')) return v;
-    for (;;) {
-      skip_ws();
-      std::string key = parse_string();
-      skip_ws();
-      expect(':');
-      v.object.emplace(std::move(key), parse_value());
-      skip_ws();
-      if (consume(',')) continue;
-      expect('}');
-      return v;
-    }
-  }
-
-  Json parse_array() {
-    Json v;
-    v.kind = Json::Kind::kArray;
-    expect('[');
-    skip_ws();
-    if (consume(']')) return v;
-    for (;;) {
-      v.array.push_back(parse_value());
-      skip_ws();
-      if (consume(',')) continue;
-      expect(']');
-      return v;
-    }
-  }
-
-  std::string parse_string() {
-    expect('"');
-    std::string out;
-    for (;;) {
-      if (pos_ >= text_.size()) fail("unterminated string");
-      const char c = text_[pos_++];
-      if (c == '"') return out;
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
-      if (pos_ >= text_.size()) fail("bad escape");
-      const char e = text_[pos_++];
-      switch (e) {
-        case '"': out += '"'; break;
-        case '\\': out += '\\'; break;
-        case '/': out += '/'; break;
-        case 'n': out += '\n'; break;
-        case 'r': out += '\r'; break;
-        case 't': out += '\t'; break;
-        case 'u': {
-          if (pos_ + 4 > text_.size()) fail("bad \\u escape");
-          const unsigned code = static_cast<unsigned>(
-              std::stoul(std::string(text_.substr(pos_, 4)), nullptr, 16));
-          pos_ += 4;
-          // The sink only emits \u00XX control escapes.
-          out += static_cast<char>(code);
-          break;
-        }
-        default: fail("unknown escape");
-      }
-    }
-  }
-
-  Json parse_number() {
-    const std::size_t start = pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '-' || text_[pos_] == '+' || text_[pos_] == '.' ||
-            text_[pos_] == 'e' || text_[pos_] == 'E')) {
-      ++pos_;
-    }
-    if (pos_ == start) fail("expected number");
-    Json v;
-    v.kind = Json::Kind::kNumber;
-    v.number = std::stod(std::string(text_.substr(start, pos_ - start)));
-    return v;
-  }
-
-  std::string_view text_;
-  std::size_t pos_ = 0;
-};
-
-inline Json parse_json(std::string_view text) {
-  return JsonParser(text).parse();
+inline std::uint64_t as_u64(const Json& v) {
+  return static_cast<std::uint64_t>(v.number);
 }
 
 /// Parses every non-empty line of a JSONL file.
@@ -209,7 +39,11 @@ inline std::vector<Json> parse_jsonl_file(const std::string& path) {
   std::string line;
   while (std::getline(in, line)) {
     if (line.empty()) continue;
-    out.push_back(parse_json(line));
+    std::optional<Json> v = obs::json::parse(line);
+    if (!v.has_value()) {
+      throw std::runtime_error("jsonl_util: malformed line: " + line);
+    }
+    out.push_back(std::move(*v));
   }
   return out;
 }

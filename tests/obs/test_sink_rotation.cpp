@@ -18,6 +18,8 @@ namespace kertbn::obs {
 namespace {
 
 namespace fs = std::filesystem;
+using testutil::as_u64;
+using testutil::at;
 using testutil::Json;
 
 class TempPath {
@@ -71,13 +73,13 @@ TEST(FileSinkRotation, RotatesAtCapAndKeepsAllRecentLines) {
   const std::vector<Json> old = testutil::parse_jsonl_file(file.str() + ".1");
   ASSERT_FALSE(current.empty());
   ASSERT_FALSE(old.empty());
-  EXPECT_EQ(current.back().at("t_ns").as_u64(), 59u);
+  EXPECT_EQ(as_u64(at(current.back(), "t_ns")), 59u);
   // Old + current hold a contiguous suffix of the emitted events.
-  const std::uint64_t first_kept = old.front().at("t_ns").as_u64();
+  const std::uint64_t first_kept = as_u64(at(old.front(), "t_ns"));
   std::uint64_t expect = first_kept;
   for (const auto* batch : {&old, &current}) {
     for (const Json& e : *batch) {
-      EXPECT_EQ(e.at("t_ns").as_u64(), expect);
+      EXPECT_EQ(as_u64(at(e, "t_ns")), expect);
       ++expect;
     }
   }
@@ -127,7 +129,7 @@ TEST(FileSinkRotation, FailedRotationDropsCountsAndSelfHeals) {
   EXPECT_GE(sink.rotations(), 1u);
   const std::vector<Json> current = testutil::parse_jsonl_file(file.str());
   ASSERT_FALSE(current.empty());
-  EXPECT_EQ(current.back().at("t_ns").as_u64(), 49u);
+  EXPECT_EQ(as_u64(at(current.back(), "t_ns")), 49u);
 }
 
 TEST(FileSinkRotation, LogEventSerializationRoundTrips) {
@@ -148,15 +150,15 @@ TEST(FileSinkRotation, LogEventSerializationRoundTrips) {
   const std::vector<Json> events = testutil::parse_jsonl_file(file.str());
   ASSERT_EQ(events.size(), 1u);
   const Json& e = events.front();
-  EXPECT_EQ(e.at("type").string, "event");
-  EXPECT_EQ(e.at("name").string, "kert.drift.advisory");
-  EXPECT_EQ(e.at("t_ns").as_u64(), 1234u);
-  const Json& tags = e.at("tags");
-  EXPECT_EQ(tags.at("stream").string, "response");
-  EXPECT_EQ(tags.at("model_version").as_u64(), 7u);
-  EXPECT_DOUBLE_EQ(tags.at("cusum").number, 6.25);
-  EXPECT_TRUE(tags.at("confirmed").boolean);
-  EXPECT_EQ(tags.at("quote").string, "say \"hi\"\n");
+  EXPECT_EQ(at(e, "type").string, "event");
+  EXPECT_EQ(at(e, "name").string, "kert.drift.advisory");
+  EXPECT_EQ(as_u64(at(e, "t_ns")), 1234u);
+  const Json& tags = at(e, "tags");
+  EXPECT_EQ(at(tags, "stream").string, "response");
+  EXPECT_EQ(as_u64(at(tags, "model_version")), 7u);
+  EXPECT_DOUBLE_EQ(at(tags, "cusum").number, 6.25);
+  EXPECT_TRUE(at(tags, "confirmed").boolean);
+  EXPECT_EQ(at(tags, "quote").string, "say \"hi\"\n");
 }
 
 TEST(FileSinkRotation, EmitEventReachesInstalledSink) {
@@ -167,7 +169,7 @@ TEST(FileSinkRotation, EmitEventReachesInstalledSink) {
   set_sink(nullptr);
   const std::vector<Json> events = testutil::parse_jsonl_file(file.str());
   ASSERT_EQ(events.size(), 1u);
-  EXPECT_EQ(events.front().at("name").string, "test.emitted");
+  EXPECT_EQ(at(events.front(), "name").string, "test.emitted");
 }
 
 }  // namespace

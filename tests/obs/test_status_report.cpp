@@ -24,6 +24,7 @@ namespace kertbn::quality {
 namespace {
 
 namespace fs = std::filesystem;
+using testutil::at;
 using testutil::Json;
 
 /// A report with every field populated with awkward values (negative
@@ -120,6 +121,20 @@ TEST(StatusReport, MalformedInputReturnsNullopt) {
   const std::string text = full_report().to_json();
   EXPECT_FALSE(
       status_report_from_json(text.substr(0, text.size() / 2)).has_value());
+  // Deep nesting is rejected by the reader's depth bound, not by running
+  // out of stack.
+  EXPECT_FALSE(
+      status_report_from_json(std::string(1'000'000, '[')).has_value());
+}
+
+TEST(StatusReport, OutOfRangeCountsReadAsZero) {
+  const std::optional<StatusReport> r = status_report_from_json(
+      R"({"type":"status_report","model_version":-1,"rows_scored":1e300,)"
+      R"("query_count":42})");
+  ASSERT_TRUE(r.has_value());
+  EXPECT_EQ(r->model_version, 0u);
+  EXPECT_EQ(r->rows_scored, 0u);
+  EXPECT_EQ(r->query_count, 42u);
 }
 
 TEST(StatusReport, RecoveryStatusMirrorsRecoveryReport) {
@@ -235,9 +250,9 @@ TEST(StatusReport, MonitorReportReflectsLivePipeline) {
   obs::set_sink(nullptr);
   const std::vector<Json> events = testutil::parse_jsonl_file(path);
   ASSERT_EQ(events.size(), 1u);
-  EXPECT_EQ(events.front().at("name").string, "kert.quality.status");
+  EXPECT_EQ(at(events.front(), "name").string, "kert.quality.status");
   const std::optional<StatusReport> emitted = status_report_from_json(
-      events.front().at("tags").at("report").string);
+      at(at(events.front(), "tags"), "report").string);
   ASSERT_TRUE(emitted.has_value());
   EXPECT_EQ(emitted->model_version, manager.version());
   fs::remove(path);
