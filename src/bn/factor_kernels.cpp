@@ -612,24 +612,48 @@ void apply_evidence(FlatFactor& f, std::size_t var, std::size_t state) {
   }
 }
 
-void reduce_evidence(FlatFactor& f, std::size_t var, std::size_t state) {
+namespace {
+
+/// Copies the values of \p in where the dimension with row-major
+/// \p stride and cardinality \p card takes \p state to \p out, which may
+/// equal \p in: every run lands at or before its source, so the forward
+/// copy compacts in place.
+void slice_values(const double* in, std::size_t in_size, std::size_t stride,
+                  std::size_t card, std::size_t state, double* out) {
+  if (stride == 1) {
+    // A per-element copy call costs several times this plain gather.
+    for (std::size_t i = state; i < in_size; i += card) *out++ = in[i];
+    return;
+  }
+  const std::size_t block = stride * card;
+  for (std::size_t base = state * stride; base < in_size; base += block) {
+    out = std::copy(in + base, in + base + stride, out);
+  }
+}
+
+}  // namespace
+
+void reduce_evidence(const FlatFactor& f, std::size_t var, std::size_t state,
+                     FlatFactor& out) {
   const std::size_t dim = find_in(f.scope, var);
   KERTBN_EXPECTS(dim != kNone);
   KERTBN_EXPECTS(state < f.cards[dim]);
-  const std::size_t stride = stride_of(f.cards, dim);
   const std::size_t card = f.cards[dim];
-  const std::size_t block = stride * card;
-  std::size_t o = 0;
-  for (std::size_t base = state * stride; base < f.values.size();
-       base += block) {
-    std::copy(f.values.begin() + static_cast<std::ptrdiff_t>(base),
-              f.values.begin() + static_cast<std::ptrdiff_t>(base + stride),
-              f.values.begin() + static_cast<std::ptrdiff_t>(o));
-    o += stride;
+  const std::size_t in_size = f.values.size();
+  if (&out != &f) {
+    out.scope = f.scope;
+    out.cards = f.cards;
+    out.values.resize(in_size / card);
   }
-  f.values.resize(o);
-  f.scope.erase(f.scope.begin() + static_cast<std::ptrdiff_t>(dim));
-  f.cards.erase(f.cards.begin() + static_cast<std::ptrdiff_t>(dim));
+  slice_values(f.values.data(), in_size, stride_of(f.cards, dim), card, state,
+               out.values.data());
+  out.values.resize(in_size / card);
+  out.scope.erase(out.scope.begin() + static_cast<std::ptrdiff_t>(dim));
+  out.cards.erase(out.cards.begin() + static_cast<std::ptrdiff_t>(dim));
+}
+
+void reduce_evidence(FlatFactor& f, std::size_t var, std::size_t state) {
+  reduce_evidence(f, var, state, f);
 }
 
 void FactorWorkspace::build_key(std::span<const FlatFactor* const> ops,

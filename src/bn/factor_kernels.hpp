@@ -231,9 +231,15 @@ void chain_reduce_into(const ChainReducePlan& plan,
 /// keeps every downstream plan evidence-independent.
 void apply_evidence(FlatFactor& f, std::size_t var, std::size_t state);
 
-/// In-place equivalent of Factor::reduce(var, state): keeps the slice
-/// where var == state and drops var from the scope. Pure data movement
-/// (bit-exact on every tier). The eager-evidence path of variable
+/// out = Factor::reduce(var, state) of \p f: keeps the slice where
+/// var == state (relative order kept) and drops var from the scope. Pure
+/// data movement (bit-exact on every tier). \p out may be \p f itself.
+/// Junction-tree reads slice a clique's own evidence out of its belief
+/// with this.
+void reduce_evidence(const FlatFactor& f, std::size_t var, std::size_t state,
+                     FlatFactor& out);
+
+/// In-place reduce_evidence: the eager-evidence path of variable
 /// elimination runs on this.
 void reduce_evidence(FlatFactor& f, std::size_t var, std::size_t state);
 
@@ -373,13 +379,16 @@ class FactorWorkspace {
   void reduce(const FlatFactor& f, std::span<const std::size_t> target,
               FlatFactor& out);
 
+  /// The cached plan that sums every variable outside \p target out of a
+  /// factor shaped like \p f (counts as one plan lookup).
+  const ReducePlan& reduce_plan(const FlatFactor& f,
+                                std::span<const std::size_t> target);
+
   std::size_t plan_hits() const { return plan_hits_; }
   std::size_t plan_misses() const { return plan_misses_; }
 
  private:
   const ProductPlan& product_plan(const FlatFactor& a, const FlatFactor& b);
-  const ReducePlan& reduce_plan(const FlatFactor& f,
-                                std::span<const std::size_t> target);
   const ChainPlan& chain_plan(std::span<const FlatFactor* const> ops);
   const ChainReducePlan& chain_reduce_plan(
       std::span<const FlatFactor* const> ops,

@@ -376,7 +376,11 @@ const FlatFactor& JunctionTree::message(std::size_t x, std::size_t y) const {
 }
 
 const FlatFactor& JunctionTree::belief(std::size_t c) const {
-  if (comp_dirty_[component_of_[c]] == 0) return clean_belief(c);
+  // Every message into c is clean unless a clique other than c is dirty;
+  // c's own evidence is left to the read.
+  if (comp_dirty_[component_of_[c]] == static_cast<std::size_t>(dirty_[c])) {
+    return clean_belief(c);
+  }
   if (cur_belief_epoch_[c] == epoch_) return cur_beliefs_[c];
   const std::size_t depth = msg_depth_++;
   if (msg_in_pool_.size() <= depth) msg_in_pool_.resize(depth + 1);
@@ -385,11 +389,21 @@ const FlatFactor& JunctionTree::belief(std::size_t c) const {
     const FlatFactor& m = message(nb, c);
     msg_in_pool_[depth].push_back(&m);
   }
-  ws_.product_chain(potential(c), msg_in_pool_[depth], cur_beliefs_[c]);
+  ws_.product_chain(clean_base_[c], msg_in_pool_[depth], cur_beliefs_[c]);
   --msg_depth_;
   cur_belief_epoch_[c] = epoch_;
   ++stats_.beliefs_computed;
   return cur_beliefs_[c];
+}
+
+const FlatFactor& JunctionTree::read_belief(std::size_t c) const {
+  const FlatFactor* b = &belief(c);
+  for (const auto& [v, state] : evidence_) {
+    if (family_clique_[v] != c) continue;
+    reduce_evidence(*b, v, state, read_slice_);
+    b = &read_slice_;
+  }
+  return *b;
 }
 
 void JunctionTree::calibrate(
@@ -455,7 +469,7 @@ double JunctionTree::evidence_probability() const {
     for (std::size_t r : roots_) {
       const std::size_t comp = component_of_[r];
       p *= (comp_dirty_[comp] == 0) ? clean_root_total_[comp]
-                                    : belief(r).total();
+                                    : read_belief(r).total();
     }
     evidence_probability_ = p;
     ep_epoch_ = epoch_;
@@ -471,19 +485,23 @@ std::vector<double> JunctionTree::posterior(std::size_t v) const {
       std::pair<std::size_t, std::size_t>{v, 0},
       [](const auto& a, const auto& b) { return a.first < b.first; }));
   ensure_clean();
-  const FlatFactor& b = belief(family_clique_[v]);
-  if (!posterior_plan_ready_[v]) {
-    const std::size_t target[1] = {v};
+  const FlatFactor& b = read_belief(family_clique_[v]);
+  const std::size_t target[1] = {v};
+  const bool sliced = &b == &read_slice_;
+  if (!sliced && !posterior_plan_ready_[v]) {
     posterior_plans_[v] = make_reduce_plan(b.scope, b.cards, target);
     posterior_plan_ready_[v] = 1;
   }
-  const ReducePlan& plan = posterior_plans_[v];
+  // A slice of the clique's own evidence reduces through the workspace's
+  // plan cache and scratch (evidence means this tree is a per-worker copy);
+  // other reads use the per-node plan and local buffers, which keeps warm
+  // no-evidence reads mutation-free (sharable across threads after warm()).
+  const ReducePlan& plan =
+      sliced ? ws_.reduce_plan(b, target) : posterior_plans_[v];
   KERTBN_ASSERT(plan.out_scope.size() == 1 && plan.out_scope[0] == v);
-  // Local buffers keep warm no-evidence reads mutation-free (sharable
-  // across threads after warm()).
   std::vector<double> out;
-  std::vector<double> scratch;
-  reduce_into(plan, b.values, scratch, out);
+  std::vector<double> local_scratch;
+  reduce_into(plan, b.values, sliced ? read_scratch_ : local_scratch, out);
   // Normalize exactly like Factor::normalized (no-op on an all-zero
   // marginal).
   double t = 0.0;

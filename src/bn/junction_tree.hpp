@@ -20,13 +20,27 @@
 /// alignment plans and scratch buffers. Calibration is *lazy and
 /// incremental*: calibrate() only records the evidence and marks the
 /// cliques whose potentials changed (evidence attaches at a variable's
-/// family clique, and evidence enters as slice-zeroing, so factor shapes
-/// — and therefore every cached plan — are evidence-independent). A
-/// posterior read then pulls exactly the messages directed toward the
-/// target clique; any message whose source side contains no dirty clique
-/// is reused verbatim from the cached no-evidence calibration. Message
-/// fixed points are schedule-independent, so every answer stays
-/// bit-identical to the eager legacy schedule.
+/// family clique). A posterior read then pulls exactly the messages
+/// directed toward the target clique; any message whose source side
+/// contains no dirty clique is reused verbatim from the cached
+/// no-evidence calibration. Message fixed points are schedule-independent,
+/// so every answer stays bit-identical to the eager legacy schedule.
+///
+/// Evidence enters in two ways. A message leaving a dirty clique reads the
+/// clique's potential with the non-matching slices zeroed, so message
+/// shapes — and therefore every cached message plan — are
+/// evidence-independent. A read (posterior, P(e)) instead takes the
+/// clique's belief *without* its own evidence — the cached clean belief
+/// when no other clique of the component is dirty, as on a one-clique
+/// KERT-BN — and copies out only the observed slice before reducing or
+/// summing it. Zeroing commutes with the product chain (x·0 = +0 and
+/// x·1 = x for the finite non-negative values factors hold) and adding +0
+/// to a non-negative sum is exact, so the slice performs the same non-zero
+/// additions in the same order as reducing the zero-filled belief: the
+/// answers are bit-identical to it on the scalar tier (and on SIMD tiers
+/// except where slicing turns a strided elimination of a variable with 16
+/// or more states into a re-associated stride-1 sum, inside the 1e-12
+/// contract below).
 ///
 /// Clique→sepset messages execute through the runtime-dispatched SIMD
 /// kernels (common/cpu_features): on the scalar tier answers are
@@ -129,10 +143,16 @@ class JunctionTree {
 
   /// Message x -> y for the current evidence (pull-based; recursive).
   const FlatFactor& message(std::size_t x, std::size_t y) const;
-  /// Clique potential under current evidence (clean base + zeroed slices).
+  /// Clique potential under current evidence (clean base + zeroed slices);
+  /// only messages leaving a dirty clique read it.
   const FlatFactor& potential(std::size_t c) const;
-  /// Calibrated belief of clique c under current evidence.
+  /// Belief of clique c under every evidence except c's own: clean base ×
+  /// current incoming messages (the cached clean belief when no other
+  /// clique of c's component is dirty).
   const FlatFactor& belief(std::size_t c) const;
+  /// belief(c) restricted to c's own evidence: the belief itself when c
+  /// holds none, else its observed slice in read_slice_.
+  const FlatFactor& read_belief(std::size_t c) const;
   const FlatFactor& clean_belief(std::size_t c) const;
 
   const BayesianNetwork& net_;
@@ -175,9 +195,11 @@ class JunctionTree {
   mutable bool ep_ready_ = false;
 
   // Per-node posterior reduction plans (belief scope -> {v}), filled by
-  // warm() or on first use.
+  // warm() or on first use; reads of evidence slices use ws_'s plans.
   mutable std::vector<ReducePlan> posterior_plans_;
   mutable std::vector<char> posterior_plan_ready_;
+  mutable FlatFactor read_slice_;
+  mutable std::vector<double> read_scratch_;
 
   mutable FactorWorkspace ws_;
   // Depth-indexed operand lists for the recursive message pull: slot d

@@ -9,16 +9,54 @@
 
 namespace kertbn::core {
 
+namespace {
+
+/// Sum of the masses whose support value exceeds \p threshold, in state
+/// order: the one discrete exceedance loop.
+template <typename Support>
+double exceedance_of(std::span<const double> probs, Support support,
+                     double threshold) {
+  double p = 0.0;
+  for (std::size_t i = 0; i < probs.size(); ++i) {
+    if (support(i) > threshold) p += probs[i];
+  }
+  return p;
+}
+
+double state_value(const ColumnDiscretizer* column, std::size_t state) {
+  return column ? column->center_of(state) : static_cast<double>(state);
+}
+
+}  // namespace
+
 double DistributionSummary::exceedance(double threshold) const {
   if (!support.empty()) {
-    double p = 0.0;
-    for (std::size_t i = 0; i < support.size(); ++i) {
-      if (support[i] > threshold) p += probs[i];
-    }
-    return p;
+    return exceedance_of(
+        probs, [this](std::size_t i) { return support[i]; }, threshold);
   }
   const double sd = std::max(stddev, 1e-9);
   return 1.0 - gaussian_cdf(threshold, mean, sd);
+}
+
+DistributionMoments discrete_moments(std::span<const double> dist,
+                                     const ColumnDiscretizer* column) {
+  double m = 0.0;
+  for (std::size_t i = 0; i < dist.size(); ++i) {
+    m += state_value(column, i) * dist[i];
+  }
+  double var = 0.0;
+  for (std::size_t i = 0; i < dist.size(); ++i) {
+    const double d = state_value(column, i) - m;
+    var += d * d * dist[i];
+  }
+  return {m, std::sqrt(var)};
+}
+
+double discrete_exceedance(std::span<const double> dist,
+                           const ColumnDiscretizer* column, double threshold) {
+  return exceedance_of(
+      dist, [column](std::size_t i) { return state_value(column, i); },
+      threshold);
 }
 
 bool all_linear_gaussian(const bn::BayesianNetwork& net) {
@@ -53,18 +91,11 @@ DistributionSummary summarize_discrete_posterior(
   s.probs = dist;
   s.support.resize(dist.size());
   for (std::size_t i = 0; i < dist.size(); ++i) {
-    s.support[i] =
-        column ? column->center_of(i) : static_cast<double>(i);
+    s.support[i] = state_value(column, i);
   }
-  double m = 0.0;
-  for (std::size_t i = 0; i < dist.size(); ++i) m += s.support[i] * dist[i];
-  double var = 0.0;
-  for (std::size_t i = 0; i < dist.size(); ++i) {
-    const double d = s.support[i] - m;
-    var += d * d * dist[i];
-  }
-  s.mean = m;
-  s.stddev = std::sqrt(var);
+  const DistributionMoments m = discrete_moments(dist, column);
+  s.mean = m.mean;
+  s.stddev = m.stddev;
   return s;
 }
 

@@ -11,6 +11,7 @@
 ///     Figure 8).
 
 #include <optional>
+#include <span>
 
 #include "bn/discrete_inference.hpp"
 #include "bn/gaussian_inference.hpp"
@@ -34,13 +35,30 @@ struct DistributionSummary {
   double exceedance(double threshold) const;
 };
 
+/// Mean and standard deviation of a distribution, in natural units.
+struct DistributionMoments {
+  double mean = 0.0;
+  double stddev = 0.0;
+};
+
 /// True when every CPD of \p net is linear-Gaussian (exact conditioning
 /// applies); false when the net holds e.g. a deterministic max CPD.
 bool all_linear_gaussian(const bn::BayesianNetwork& net);
 
+/// Moments of a discrete state distribution in seconds via bin centers (or
+/// state indices when \p column is null).
+DistributionMoments discrete_moments(std::span<const double> dist,
+                                     const ColumnDiscretizer* column);
+
+/// P(value > threshold) of a discrete state distribution, with states
+/// valued as in discrete_moments.
+double discrete_exceedance(std::span<const double> dist,
+                           const ColumnDiscretizer* column, double threshold);
+
 /// Discrete state distribution -> summary in seconds via bin centers (or
-/// state indices when \p column is null). Shared by dComp/pAccel and the
-/// QueryEngine serving path.
+/// state indices when \p column is null). Its moments and exceedance are
+/// discrete_moments and discrete_exceedance, which the QueryEngine serving
+/// path calls directly.
 DistributionSummary summarize_discrete_posterior(
     const std::vector<double>& dist, const ColumnDiscretizer* column);
 

@@ -63,6 +63,29 @@ bool discrete_tabular(const bn::BayesianNetwork& net) {
   return true;
 }
 
+/// Bin-center column of node \p v, or null when the snapshot has no
+/// discretizer covering it (moments are then in state-index units).
+const ColumnDiscretizer* column_of(const ModelSnapshot& snap, std::size_t v) {
+  return snap.discretizer.has_value() && v < snap.discretizer->columns()
+             ? &snap.discretizer->column(v)
+             : nullptr;
+}
+
+/// Whether \p q can be answered on \p net without tripping a contract:
+/// evidence sorted by strictly ascending node with every node and state in
+/// range, and (for kinds with a target) the target in range and unobserved.
+bool well_formed(const Query& q, const bn::BayesianNetwork& net) {
+  for (std::size_t i = 0; i < q.evidence.size(); ++i) {
+    const auto& [v, state] = q.evidence[i];
+    if (v >= net.size() || state >= net.variable(v).cardinality) return false;
+    if (i > 0 && q.evidence[i - 1].first >= v) return false;
+    if (q.kind != QueryKind::kEvidenceProbability && v == q.target) {
+      return false;
+    }
+  }
+  return q.kind == QueryKind::kEvidenceProbability || q.target < net.size();
+}
+
 }  // namespace
 
 const char* to_string(QueryStatus status) {
@@ -73,6 +96,8 @@ const char* to_string(QueryStatus status) {
       return "deadline_exceeded";
     case QueryStatus::kShed:
       return "shed";
+    case QueryStatus::kInvalid:
+      return "invalid";
   }
   return "unknown";
 }
@@ -91,6 +116,11 @@ std::shared_ptr<const ModelSnapshot> make_model_snapshot(
     // no-evidence reads on the shared snapshot are mutation-free.
     auto tree = std::make_unique<bn::JunctionTree>(snapshot->net);
     tree->warm();
+    snapshot->prior_moments.reserve(snapshot->net.size());
+    for (std::size_t v = 0; v < snapshot->net.size(); ++v) {
+      snapshot->prior_moments.push_back(
+          discrete_moments(tree->posterior(v), column_of(*snapshot, v)));
+    }
     snapshot->prior_tree = std::move(tree);
   }
   span.tag("version", static_cast<std::uint64_t>(version));
@@ -134,20 +164,13 @@ QueryAnswer QueryEngine::answer(Worker& w, const Query& q) {
     return out;
   }
 
-  KERTBN_EXPECTS(q.target < snap.net.size());
-  const ColumnDiscretizer* column =
-      snap.discretizer.has_value() && q.target < snap.discretizer->columns()
-          ? &snap.discretizer->column(q.target)
-          : nullptr;
+  const ColumnDiscretizer* column = column_of(snap, q.target);
 
   if (q.kind == QueryKind::kWhatIf) {
-    // Baseline from the shared warm prior tree: a const, mutation-free
-    // no-evidence read.
-    out.baseline = summarize_discrete_posterior(
-        snap.prior_tree->posterior(q.target), column);
+    out.baseline = snap.prior_moments[q.target];
     tree.calibrate_sorted(q.evidence);
     out.posterior = tree.posterior(q.target);
-    out.summary = summarize_discrete_posterior(out.posterior, column);
+    out.summary = discrete_moments(out.posterior, column);
     return out;
   }
 
@@ -174,9 +197,9 @@ QueryAnswer QueryEngine::answer(Worker& w, const Query& q) {
     out.posterior = tree.posterior(q.target);
     if (obs::enabled()) QueryMetrics::get().tree_routes.add(1);
   }
-  out.summary = summarize_discrete_posterior(out.posterior, column);
+  out.summary = discrete_moments(out.posterior, column);
   if (q.kind == QueryKind::kExceedance) {
-    out.exceedance = out.summary.exceedance(q.threshold);
+    out.exceedance = discrete_exceedance(out.posterior, column, q.threshold);
   }
   return out;
 }
@@ -198,16 +221,27 @@ std::vector<QueryAnswer> QueryEngine::post(const QueryBatch& batch) {
     return config_.clock ? config_.clock() : now_ns();
   };
 
+  // Malformed queries are refused before anything else, so they neither
+  // take a governor token nor occupy a worker. Like a shed answer, an
+  // invalid one carries the snapshot version but no posterior.
+  std::vector<std::uint8_t> runnable(n, 1);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (well_formed(batch[i], snapshot->net)) continue;
+    answers[i].status = QueryStatus::kInvalid;
+    answers[i].snapshot_version = snapshot->version;
+    runnable[i] = 0;
+  }
+
   // Overload shedding is decided per batch, before any inference work:
   // at kShedding batch-class queries are refused outright; at kEmergency
   // interactive queries additionally pay a query token each. A shed
   // answer carries the snapshot version but no posterior.
-  std::vector<std::uint8_t> runnable(n, 1);
   std::size_t shed_now = 0;
   if (config_.governor != nullptr) {
     const ov::PressureLevel level = config_.governor->level();
     if (level >= ov::PressureLevel::kShedding) {
       for (std::size_t i = 0; i < n; ++i) {
+        if (!runnable[i]) continue;
         bool shed = batch[i].query_class == QueryClass::kBatch;
         if (!shed && level == ov::PressureLevel::kEmergency) {
           shed = !config_.governor->admit(

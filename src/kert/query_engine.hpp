@@ -8,8 +8,9 @@
 /// Three pieces make that cheap and safe:
 ///
 ///   * ModelSnapshot — an immutable (network, discretizer, warm calibrated
-///     junction tree) bundle. The tree is warmed at build time, so
-///     no-evidence reads on it are mutation-free and sharable.
+///     junction tree, per-node prior moments) bundle. The tree is warmed at
+///     build time, so no-evidence reads on it are mutation-free and
+///     sharable.
 ///   * SnapshotSlot — RCU-style publication: writers install an immutable
 ///     std::shared_ptr<const ModelSnapshot>, readers pick the newest one up
 ///     through a lock-free hazard-entry protocol. Readers never block; a
@@ -55,12 +56,17 @@ struct ModelSnapshot {
   bn::BayesianNetwork net;  ///< Deep copy; the tree references this copy.
   std::optional<DatasetDiscretizer> discretizer;
   std::unique_ptr<const bn::JunctionTree> prior_tree;
+  /// Per node, the moments of its no-evidence marginal in natural units
+  /// (bin centers when the discretizer covers the node). Filled with the
+  /// tree; what-if answers take their baseline from here.
+  std::vector<DistributionMoments> prior_moments;
 
   bool has_tree() const { return prior_tree != nullptr; }
 };
 
 /// Deep-copies \p net (and discretizer) into a snapshot; builds and warms
-/// the junction tree when the network is complete, all-discrete, tabular.
+/// the junction tree and computes every node's prior moments when the
+/// network is complete, all-discrete, tabular.
 std::shared_ptr<const ModelSnapshot> make_model_snapshot(
     std::size_t version, double built_at, const bn::BayesianNetwork& net,
     const std::optional<DatasetDiscretizer>& discretizer);
@@ -177,6 +183,10 @@ enum class QueryStatus {
   kOk = 0,
   kDeadlineExceeded = 1,  ///< Deadline passed before the query ran.
   kShed = 2,              ///< Refused by overload control before any work.
+  /// Malformed for the snapshot's network: a target or evidence node out
+  /// of range, an evidence state out of range, evidence not sorted by
+  /// strictly ascending node, or a target among its own evidence.
+  kInvalid = 3,
 };
 
 const char* to_string(QueryStatus status);
@@ -206,11 +216,12 @@ struct QueryAnswer {
   QueryRoute route = QueryRoute::kCalibratedTree;
   /// Posterior states of `target` (empty for kEvidenceProbability).
   std::vector<double> posterior;
-  /// Posterior in natural units (bin centers when a discretizer exists).
-  DistributionSummary summary;
-  /// kWhatIf only: the no-evidence marginal of `target` from the warm
-  /// prior tree — the "before" of the what-if.
-  DistributionSummary baseline;
+  /// Moments of `posterior` in natural units (bin centers when a
+  /// discretizer exists); summarize_discrete_posterior gives the rest.
+  DistributionMoments summary;
+  /// kWhatIf only: moments of the no-evidence marginal of `target`
+  /// (ModelSnapshot::prior_moments) — the "before" of the what-if.
+  DistributionMoments baseline;
   double exceedance = 0.0;            ///< kExceedance only.
   double evidence_probability = 1.0;  ///< kEvidenceProbability only.
 };
@@ -250,7 +261,9 @@ class QueryEngine {
   explicit QueryEngine(Config config);
 
   /// Answers every query in \p batch against the newest published
-  /// snapshot. Requires a published snapshot with a junction tree.
+  /// snapshot. Requires a published snapshot with a junction tree. Each
+  /// query is validated first; a malformed one is answered
+  /// QueryStatus::kInvalid without any work.
   std::vector<QueryAnswer> post(const QueryBatch& batch);
 
   std::size_t queries_served() const { return queries_served_; }

@@ -118,12 +118,10 @@ bool PredictiveScorer::adopt(const core::ModelSnapshot& snapshot) {
       const std::vector<double> probs = snapshot.prior_tree->posterior(c);
       const core::ColumnDiscretizer& col = snapshot.discretizer->column(c);
       if (probs.size() != col.bins()) return false;
-      const core::DistributionSummary summary =
-          core::summarize_discrete_posterior(probs, &col);
       Column out;
       out.discrete = true;
-      out.pred.mean = summary.mean;
-      out.pred.stddev = summary.stddev;
+      out.pred.mean = snapshot.prior_moments[c].mean;
+      out.pred.stddev = snapshot.prior_moments[c].stddev;
       out.pred.band_lo_value = discrete_quantile(probs, col, opts_.band_lo);
       out.pred.band_hi_value = discrete_quantile(probs, col, opts_.band_hi);
       out.bin_log_mass.reserve(probs.size());

@@ -131,6 +131,36 @@ TEST(FactorKernels, ApplyEvidenceBitwiseMatchesIndicatorProduct) {
   }
 }
 
+/// The evidence slice (out of place, as junction-tree reads use it, and in
+/// place, as variable elimination uses it) against legacy Factor::reduce,
+/// for every (variable, state) of factors with stride-1, outermost and
+/// size-1 dimensions.
+TEST(FactorKernels, EvidenceSliceBitwiseMatchesLegacyReduce) {
+  kertbn::Rng rng(109);
+  const std::vector<std::vector<std::size_t>> shapes = {
+      {3, 4, 2}, {1, 3, 2}, {2, 1, 5}, {4, 3, 1},
+      {5},       {1},       {2, 3, 1, 4, 3}};
+  for (const auto& cards : shapes) {
+    std::vector<std::size_t> scope;
+    for (std::size_t i = 0; i < cards.size(); ++i) {
+      scope.push_back((7 * i + 3) % 11);  // ids out of scope order
+    }
+    const Factor f = random_factor(scope, cards, rng);
+    const FlatFactor flat = FlatFactor::from(f);
+    FlatFactor out = FlatFactor::unit();  // reused across slices
+    for (std::size_t d = 0; d < scope.size(); ++d) {
+      for (std::size_t state = 0; state < cards[d]; ++state) {
+        const Factor legacy = f.reduce(scope[d], state);
+        reduce_evidence(flat, scope[d], state, out);
+        expect_bitwise_equal(legacy, out);
+        FlatFactor in_place = flat;
+        reduce_evidence(in_place, scope[d], state);
+        expect_bitwise_equal(legacy, in_place);
+      }
+    }
+  }
+}
+
 TEST(FactorWorkspaceCache, PlansAreReusedAcrossCalls) {
   kertbn::Rng rng(107);
   FactorWorkspace ws;

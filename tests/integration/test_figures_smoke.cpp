@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "bn/discrete_inference.hpp"
 #include "common/rng.hpp"
@@ -30,20 +32,49 @@ std::vector<bn::Variable> continuous_vars(const bn::Dataset& data) {
   return vars;
 }
 
+/// One construction input: an environment and its training set.
+struct Instance {
+  const sim::SyntheticEnvironment* env;
+  const bn::Dataset* train;
+};
+
+/// KERT and NRT construction seconds per instance, each the minimum of
+/// five repetitions of the same deterministic construction (K2 reseeded
+/// with \p k2_seed every time). A construction takes tens of microseconds
+/// to milliseconds, so one preemption can inflate a single wall-clock
+/// sample many times over, while the minimum tracks the work. The
+/// repetitions go round-robin over the instances, so a stretch of slow
+/// host time lands on every instance instead of on one.
+std::vector<std::pair<double, double>> construction_seconds(
+    const std::vector<Instance>& instances, std::uint64_t k2_seed) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<std::pair<double, double>> best(instances.size(), {kInf, kInf});
+  for (int rep = 0; rep < 5; ++rep) {
+    for (std::size_t i = 0; i < instances.size(); ++i) {
+      const Instance& in = instances[i];
+      const double kert =
+          core::construct_kert_continuous(in.env->workflow(),
+                                          in.env->sharing(), *in.train)
+              .report.total_seconds;
+      kertbn::Rng k2_rng(k2_seed);
+      const double nrt =
+          core::construct_nrt(*in.train, continuous_vars(*in.train), k2_rng)
+              .report.total_seconds;
+      best[i].first = std::min(best[i].first, kert);
+      best[i].second = std::min(best[i].second, nrt);
+    }
+  }
+  return best;
+}
+
 TEST(Fig3Shape, KertCheaperAndGapWidensWithData) {
   kertbn::Rng rng(1);
   sim::SyntheticEnvironment env = sim::make_random_environment(20, rng);
-  auto times = [&](std::size_t rows) {
-    const bn::Dataset train = env.generate(rows, rng);
-    const auto kert =
-        core::construct_kert_continuous(env.workflow(), env.sharing(), train);
-    kertbn::Rng k2_rng(2);
-    const auto nrt =
-        core::construct_nrt(train, continuous_vars(train), k2_rng);
-    return std::pair{kert.report.total_seconds, nrt.report.total_seconds};
-  };
-  const auto [kert_small, nrt_small] = times(36);
-  const auto [kert_large, nrt_large] = times(720);
+  const bn::Dataset small = env.generate(36, rng);
+  const bn::Dataset large = env.generate(720, rng);
+  const auto times = construction_seconds({{&env, &small}, {&env, &large}}, 2);
+  const auto [kert_small, nrt_small] = times[0];
+  const auto [kert_large, nrt_large] = times[1];
   EXPECT_LT(kert_small, nrt_small);
   EXPECT_LT(kert_large, nrt_large);
   // Absolute gap widens with training size.
@@ -76,18 +107,14 @@ TEST(Fig3Shape, KertAccuracyConvergesFasterThanNrt) {
 
 TEST(Fig4Shape, NrtSuperlinearKertNear_linear) {
   kertbn::Rng rng(5);
-  auto construct_times = [&rng](std::size_t n) {
-    sim::SyntheticEnvironment env = sim::make_random_environment(n, rng);
-    const bn::Dataset train = env.generate(36, rng);
-    const auto kert =
-        core::construct_kert_continuous(env.workflow(), env.sharing(), train);
-    kertbn::Rng k2_rng(6);
-    const auto nrt =
-        core::construct_nrt(train, continuous_vars(train), k2_rng);
-    return std::pair{kert.report.total_seconds, nrt.report.total_seconds};
-  };
-  const auto [kert10, nrt10] = construct_times(10);
-  const auto [kert40, nrt40] = construct_times(40);
+  const sim::SyntheticEnvironment env10 = sim::make_random_environment(10, rng);
+  const bn::Dataset train10 = env10.generate(36, rng);
+  const sim::SyntheticEnvironment env40 = sim::make_random_environment(40, rng);
+  const bn::Dataset train40 = env40.generate(36, rng);
+  const auto times =
+      construction_seconds({{&env10, &train10}, {&env40, &train40}}, 6);
+  const auto [kert10, nrt10] = times[0];
+  const auto [kert40, nrt40] = times[1];
   // 4x services: NRT grows super-linearly (>6x), KERT stays within ~6x.
   EXPECT_GT(nrt40 / nrt10, 6.0);
   EXPECT_LT(kert40 / std::max(kert10, 1e-9), 8.0);
