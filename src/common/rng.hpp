@@ -10,6 +10,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace kertbn {
@@ -33,10 +34,19 @@ class Rng {
   static constexpr result_type max() { return ~result_type{0}; }
 
   /// Next raw 64-bit draw.
-  result_type operator()();
+  result_type operator()() { return step(state_); }
 
   /// Uniform double in [0, 1).
-  double uniform();
+  double uniform() { return to_unit(step(state_)); }
+
+  /// Fills \p out with uniform doubles in [0, 1): exactly the values (and
+  /// the stream position afterwards) of out.size() successive uniform()
+  /// calls, with the generator inlined into one loop.
+  void fill_uniform(std::span<double> out) {
+    std::array<std::uint64_t, 4> s = state_;
+    for (double& v : out) v = to_unit(step(s));
+    state_ = s;
+  }
 
   /// Uniform double in [lo, hi).
   double uniform(double lo, double hi);
@@ -90,6 +100,28 @@ class Rng {
   std::vector<std::size_t> permutation(std::size_t n);
 
  private:
+  static std::uint64_t rotl(std::uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+
+  /// One xoshiro256** step: the single definition every draw goes through.
+  static std::uint64_t step(std::array<std::uint64_t, 4>& s) {
+    const std::uint64_t result = rotl(s[1] * 5, 7) * 9;
+    const std::uint64_t t = s[1] << 17;
+    s[2] ^= s[0];
+    s[3] ^= s[1];
+    s[1] ^= s[2];
+    s[0] ^= s[3];
+    s[2] ^= t;
+    s[3] = rotl(s[3], 45);
+    return result;
+  }
+
+  /// 53 random mantissa bits -> uniform in [0, 1).
+  static double to_unit(std::uint64_t x) {
+    return static_cast<double>(x >> 11) * 0x1.0p-53;
+  }
+
   std::array<std::uint64_t, 4> state_{};
   double cached_normal_ = 0.0;
   bool has_cached_normal_ = false;

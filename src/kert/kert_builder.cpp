@@ -57,6 +57,118 @@ bn::DeterministicFn make_response_fn(const wf::Workflow& workflow) {
   return fn;
 }
 
+namespace {
+
+/// f compiled into a flat post-order tape over rows of `width` doubles, one
+/// lane per sample. Rows 0..n-1 are the service samples, which the leaves
+/// read directly; every internal node owns one further row. run() applies
+/// exactly the arithmetic of wf::Expr::evaluate in each lane — sums and
+/// blends fold left from 0.0, max takes its children in order — so every
+/// lane equals a single-point evaluation bit for bit.
+class ResponseTape {
+ public:
+  ResponseTape(const wf::Expr& expr, std::size_t n, std::size_t width)
+      : n_(n), width_(width), row_count_(n) {
+    result_ = compile(expr);
+    rows_.assign(row_count_ * width_, 0.0);
+  }
+
+  /// Service \p i's samples, one per lane.
+  double* service_row(std::size_t i) { return row(i); }
+
+  /// Evaluates f in every lane; returns the row holding the results.
+  const double* run() {
+    for (const Op& op : ops_) {
+      double* out = row(op.out);
+      const std::size_t* args = args_.data() + op.first_arg;
+      const double* weights = weights_.data() + op.first_arg;
+      switch (op.kind) {
+        case wf::ExprKind::kSum:
+          std::fill_n(out, width_, 0.0);
+          for (std::size_t j = 0; j < op.arg_count; ++j) {
+            const double* c = row(args[j]);
+            for (std::size_t k = 0; k < width_; ++k) out[k] += c[k];
+          }
+          break;
+        case wf::ExprKind::kMax:
+          std::copy_n(row(args[0]), width_, out);
+          for (std::size_t j = 1; j < op.arg_count; ++j) {
+            const double* c = row(args[j]);
+            for (std::size_t k = 0; k < width_; ++k) {
+              out[k] = std::max(out[k], c[k]);
+            }
+          }
+          break;
+        case wf::ExprKind::kBlend:
+          std::fill_n(out, width_, 0.0);
+          for (std::size_t j = 0; j < op.arg_count; ++j) {
+            const double* c = row(args[j]);
+            const double p = weights[j];
+            for (std::size_t k = 0; k < width_; ++k) out[k] += p * c[k];
+          }
+          break;
+        case wf::ExprKind::kScale: {
+          const double* c = row(args[0]);
+          const double factor = weights[0];
+          for (std::size_t k = 0; k < width_; ++k) out[k] = factor * c[k];
+          break;
+        }
+        case wf::ExprKind::kService:
+        case wf::ExprKind::kConstant:
+          KERTBN_ASSERT(false && "leaves are rows, not ops");
+          break;
+      }
+    }
+    return row(result_);
+  }
+
+ private:
+  struct Op {
+    wf::ExprKind kind;
+    std::size_t out;        ///< Row written.
+    std::size_t first_arg;  ///< Children: args_/weights_[first_arg, +count).
+    std::size_t arg_count;
+  };
+
+  double* row(std::size_t r) { return rows_.data() + r * width_; }
+
+  /// Emits \p e's ops after its children's; returns the row holding e.
+  std::size_t compile(const wf::Expr& e) {
+    if (e.kind() == wf::ExprKind::kService) {
+      KERTBN_EXPECTS(e.service_index() < n_);
+      return e.service_index();
+    }
+    // The Cardoso reduction emits no constants.
+    KERTBN_EXPECTS(e.kind() != wf::ExprKind::kConstant);
+    std::vector<std::size_t> children;
+    for (const auto& c : e.children()) children.push_back(compile(*c));
+    const Op op{e.kind(), row_count_++, args_.size(), children.size()};
+    args_.insert(args_.end(), children.begin(), children.end());
+    if (e.kind() == wf::ExprKind::kBlend) {
+      weights_.insert(weights_.end(), e.blend_probs().begin(),
+                      e.blend_probs().end());
+    } else if (e.kind() == wf::ExprKind::kScale) {
+      weights_.push_back(e.scale_factor());
+    } else {
+      weights_.resize(args_.size(), 0.0);
+    }
+    ops_.push_back(op);
+    return op.out;
+  }
+
+  std::size_t n_;
+  std::size_t width_;
+  std::size_t row_count_;
+  std::size_t result_ = 0;
+  std::vector<Op> ops_;
+  std::vector<std::size_t> args_;
+  /// Parallel to args_: blend probabilities, the scale factor, else 0.
+  std::vector<double> weights_;
+  std::vector<double> rows_;
+};
+
+}  // namespace
+
 bn::TabularCpd make_deterministic_cpt(const wf::Workflow& workflow,
                                       const DatasetDiscretizer& discretizer,
                                       double leak_l,
@@ -65,36 +177,81 @@ bn::TabularCpd make_deterministic_cpt(const wf::Workflow& workflow,
   KERTBN_EXPECTS(samples_per_config >= 1);
   const std::size_t n = workflow.service_count();
   KERTBN_EXPECTS(discretizer.columns() == n + 1);
+  KERTBN_SPAN("kert.response_cpt");
   const std::size_t bins = discretizer.bins();
-  const wf::Expr::Ptr expr = workflow.response_time_expr();
+  const std::size_t width = samples_per_config;
+  ResponseTape tape(*workflow.response_time_expr(), n, width);
+
+  // Sampling box [lo, lo + w) of every (service, bin): the interval the
+  // samples of that parent state are drawn from.
+  std::vector<double> box_lo(n * bins);
+  std::vector<double> box_w(n * bins);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t b = 0; b < bins; ++b) {
+      const auto [lo, hi] = discretizer.column(i).interval_of(b);
+      const double top = std::max(hi, lo + 1e-12);
+      if (width > 1) KERTBN_EXPECTS(lo <= top);
+      box_lo[i * bins + b] = lo;
+      box_w[i * bins + b] = top - lo;
+    }
+  }
+  // Binning counts the samples past each of D's edges. That reproduces
+  // ColumnDiscretizer::bin_of — the number of edges e with !(v < e) — only
+  // when the edges ascend, as every discretizer fitted to finite data or
+  // loaded through from_parts does.
+  const std::vector<double>& d_edges = discretizer.column(n).edges();
+  KERTBN_EXPECTS(std::adjacent_find(d_edges.begin(), d_edges.end(),
+                                    [](double a, double b) {
+                                      return !(a <= b);
+                                    }) == d_edges.end());
 
   std::size_t configs = 1;
   for (std::size_t i = 0; i < n; ++i) configs *= bins;
 
   std::vector<double> table(configs * bins, 0.0);
   std::vector<std::size_t> states(n, 0);
-  std::vector<double> point(n, 0.0);
+  std::vector<double> draws(width * n);
   const double off_mass = leak_l / static_cast<double>(bins);
+  const double hit_mass = (1.0 - leak_l) / static_cast<double>(width);
+  // mass_after[c]: c hit masses added one at a time from 0.0 — the value
+  // a bin's entry reaches when its c samples are accumulated in order.
+  std::vector<double> mass_after(width + 1, 0.0);
+  for (std::size_t c = 1; c <= width; ++c) {
+    mass_after[c] = mass_after[c - 1] + hit_mass;
+  }
   // Fixed seed: the CPT is a deterministic function of the knowledge
-  // (workflow + bin geometry), reproducible across reconstructions.
+  // (workflow + bin geometry), reproducible across reconstructions. The
+  // draw order — per sample, every service in order — is part of the output.
   Rng rng(0x5EED5EED);
 
   for (std::size_t cfg = 0; cfg < configs; ++cfg) {
-    double* row = table.data() + cfg * bins;
-    const double hit_mass =
-        (1.0 - leak_l) / static_cast<double>(samples_per_config);
-    for (std::size_t k = 0; k < samples_per_config; ++k) {
+    if (width == 1) {
       for (std::size_t i = 0; i < n; ++i) {
-        if (samples_per_config == 1) {
-          point[i] = discretizer.column(i).center_of(states[i]);
-        } else {
-          const auto [lo, hi] = discretizer.column(i).interval_of(states[i]);
-          point[i] = rng.uniform(lo, std::max(hi, lo + 1e-12));
+        *tape.service_row(i) = discretizer.column(i).center_of(states[i]);
+      }
+    } else {
+      rng.fill_uniform(draws);
+      for (std::size_t i = 0; i < n; ++i) {
+        const double lo = box_lo[i * bins + states[i]];
+        const double w = box_w[i * bins + states[i]];
+        double* x = tape.service_row(i);
+        for (std::size_t k = 0; k < width; ++k) {
+          x[k] = lo + w * draws[k * n + i];
         }
       }
-      row[discretizer.column(n).bin_of(expr->evaluate(point))] += hit_mass;
     }
-    for (std::size_t s = 0; s < bins; ++s) row[s] += off_mass;
+    // Bin b holds the samples past edge b-1 but not past edge b.
+    const double* f = tape.run();
+    double* row = table.data() + cfg * bins;
+    std::size_t above_prev = width;
+    for (std::size_t b = 0; b + 1 < bins; ++b) {
+      const double edge = d_edges[b];
+      std::size_t above = 0;
+      for (std::size_t k = 0; k < width; ++k) above += !(f[k] < edge);
+      row[b] = mass_after[above_prev - above] + off_mass;
+      above_prev = above;
+    }
+    row[bins - 1] = mass_after[above_prev] + off_mass;
     // Advance mixed-radix parent counter (last parent fastest, matching
     // TabularCpd's config indexing).
     for (std::size_t i = n; i-- > 0;) {
@@ -106,23 +263,37 @@ bn::TabularCpd make_deterministic_cpt(const wf::Workflow& workflow,
                         std::move(table));
 }
 
-double calibrate_leak_sigma(const wf::Workflow& workflow,
-                            const bn::Dataset& train, double min_sigma) {
-  const std::size_t n = workflow.service_count();
-  KERTBN_EXPECTS(train.cols() == n + 1);
+namespace {
+
+/// Leak calibration for an arbitrary metric expression: residual scale of
+/// D - f(services) where services are the first \p n_services columns and
+/// D is the last column.
+double calibrate_leak_for_expr(const wf::Expr::Ptr& expr,
+                               std::size_t n_services,
+                               const bn::Dataset& train,
+                               double min_sigma = 1e-6) {
   KERTBN_EXPECTS(train.rows() >= 1);
-  const wf::Expr::Ptr expr = workflow.response_time_expr();
-  // Residual moments of D - f(X) over the window.
   double sum = 0.0;
   double sum_sq = 0.0;
   for (std::size_t r = 0; r < train.rows(); ++r) {
     const auto row = train.row(r);
-    const double resid = row[n] - expr->evaluate(row.first(n));
+    const double resid =
+        row[train.cols() - 1] - expr->evaluate(row.first(n_services));
     sum += resid;
     sum_sq += resid * resid;
   }
   return leak_sigma_from_residual_moments(sum, sum_sq, train.rows(),
                                           min_sigma);
+}
+
+}  // namespace
+
+double calibrate_leak_sigma(const wf::Workflow& workflow,
+                            const bn::Dataset& train, double min_sigma) {
+  const std::size_t n = workflow.service_count();
+  KERTBN_EXPECTS(train.cols() == n + 1);
+  return calibrate_leak_for_expr(workflow.response_time_expr(), n, train,
+                                 min_sigma);
 }
 
 double leak_sigma_from_residual_moments(double sum, double sum_sq,
@@ -164,6 +335,19 @@ bn::BayesianNetwork assemble_skeleton(
   return net;
 }
 
+/// D's CPT for a discrete skeleton: a copy of \p cached when one is given
+/// (it must have been materialized under the same discretizer), otherwise
+/// freshly materialized.
+std::unique_ptr<bn::Cpd> response_cpt(const wf::Workflow& workflow,
+                                      const DatasetDiscretizer& discretizer,
+                                      double leak_l,
+                                      const bn::TabularCpd* cached) {
+  return std::make_unique<bn::TabularCpd>(
+      cached != nullptr
+          ? *cached
+          : make_deterministic_cpt(workflow, discretizer, leak_l));
+}
+
 }  // namespace
 
 bn::BayesianNetwork build_kert_skeleton_continuous(
@@ -179,10 +363,9 @@ bn::BayesianNetwork build_kert_skeleton_discrete(
     const wf::Workflow& workflow, const wf::ResourceSharing& sharing,
     const DatasetDiscretizer& discretizer, double leak_l,
     const KertStructureOptions& opts) {
-  auto d_cpd = std::make_unique<bn::TabularCpd>(
-      make_deterministic_cpt(workflow, discretizer, leak_l));
-  return assemble_skeleton(workflow, sharing, opts, /*discrete=*/true,
-                           discretizer.bins(), std::move(d_cpd));
+  return assemble_skeleton(
+      workflow, sharing, opts, /*discrete=*/true, discretizer.bins(),
+      response_cpt(workflow, discretizer, leak_l, /*cached=*/nullptr));
 }
 
 namespace {
@@ -245,33 +428,6 @@ KertResult construct_kert_continuous(const wf::Workflow& workflow,
   return finish_construction(std::move(net), structure_seconds, train, mode,
                              learn, pool, total);
 }
-
-namespace {
-
-/// Leak calibration for an arbitrary metric expression: residual scale of
-/// D - f(services) where services are the first \p n_services columns and
-/// D is the last column.
-double calibrate_leak_for_expr(const wf::Expr::Ptr& expr,
-                               std::size_t n_services,
-                               const bn::Dataset& train,
-                               double min_sigma = 1e-6) {
-  KERTBN_EXPECTS(train.rows() >= 1);
-  double sum = 0.0;
-  double sum_sq = 0.0;
-  for (std::size_t r = 0; r < train.rows(); ++r) {
-    const auto row = train.row(r);
-    const double resid =
-        row[train.cols() - 1] - expr->evaluate(row.first(n_services));
-    sum += resid;
-    sum_sq += resid * resid;
-  }
-  const double mean = sum / static_cast<double>(train.rows());
-  const double var =
-      std::max(sum_sq / static_cast<double>(train.rows()) - mean * mean, 0.0);
-  return std::max(std::sqrt(var + mean * mean), min_sigma);
-}
-
-}  // namespace
 
 KertResult construct_kert_for_metric(const wf::Workflow& workflow,
                                      const wf::ResourceSharing& sharing,
@@ -484,12 +640,9 @@ KertResult construct_kert_discrete_from_counts(
   KERTBN_SPAN("kert.construct.from_counts");
   Stopwatch total;
   Stopwatch structure;
-  auto d_cpd = cached_d_cpt
-                   ? std::make_unique<bn::TabularCpd>(*cached_d_cpt)
-                   : std::make_unique<bn::TabularCpd>(make_deterministic_cpt(
-                         workflow, discretizer, leak_l));
   bn::BayesianNetwork net = assemble_skeleton(
-      workflow, sharing, {}, /*discrete=*/true, bins, std::move(d_cpd));
+      workflow, sharing, {}, /*discrete=*/true, bins,
+      response_cpt(workflow, discretizer, leak_l, cached_d_cpt));
   const double structure_seconds = structure.seconds();
 
   KertResult result{std::move(net), {}};
@@ -521,12 +674,14 @@ KertResult construct_kert_discrete(const wf::Workflow& workflow,
                                    const bn::Dataset& train,
                                    LearningMode mode, double leak_l,
                                    const bn::ParameterLearnOptions& learn,
-                                   ThreadPool* pool) {
+                                   ThreadPool* pool,
+                                   const bn::TabularCpd* cached_d_cpt) {
   KERTBN_SPAN("kert.construct.discrete");
   Stopwatch total;
   Stopwatch structure;
-  bn::BayesianNetwork net =
-      build_kert_skeleton_discrete(workflow, sharing, discretizer, leak_l);
+  bn::BayesianNetwork net = assemble_skeleton(
+      workflow, sharing, {}, /*discrete=*/true, discretizer.bins(),
+      response_cpt(workflow, discretizer, leak_l, cached_d_cpt));
   const double structure_seconds = structure.seconds();
   return finish_construction(std::move(net), structure_seconds, train, mode,
                              learn, pool, total);

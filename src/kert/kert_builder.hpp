@@ -63,11 +63,15 @@ double leak_sigma_from_residual_moments(double sum, double sum_sq,
 
 /// Materializes Equation 4 as a CPT for the discrete variant. For each
 /// parent bin configuration the deterministic function is integrated over
-/// the configuration's bin intervals (\p samples_per_config quasi-random
-/// evaluations of f — knowledge + bin geometry only, no response data) and
-/// the resulting D-bin frequencies carry mass (1 - leak_l); leak_l spreads
-/// uniformly. samples_per_config = 1 evaluates f at the bin centers only
-/// (the naive variant; loses within-bin spread and miscalibrates tails).
+/// the configuration's bin intervals by Monte Carlo: \p samples_per_config
+/// evaluations of f at points drawn uniformly from the intervals
+/// (knowledge + bin geometry only, no response data), and the resulting
+/// D-bin frequencies carry mass (1 - leak_l); leak_l spreads uniformly. The
+/// points come from one fixed-seed xoshiro stream, drawn configuration by
+/// configuration, sample by sample, service by service; that seed and order
+/// are part of the output, so equal inputs give bit-identical tables.
+/// samples_per_config = 1 evaluates f at the bin centers only (the naive
+/// variant; loses within-bin spread and miscalibrates tails).
 bn::TabularCpd make_deterministic_cpt(const wf::Workflow& workflow,
                                       const DatasetDiscretizer& discretizer,
                                       double leak_l,
@@ -91,7 +95,9 @@ enum class LearningMode { kCentralized, kDecentralized };
 
 /// Timing breakdown of one KERT-BN construction.
 struct KertConstructionReport {
-  double structure_seconds = 0.0;  ///< Knowledge-to-DAG translation time.
+  /// Skeleton time: knowledge-to-DAG translation plus, on the discrete
+  /// path, materializing D's CPT (or copying a cached one).
+  double structure_seconds = 0.0;
   double parameter_seconds = 0.0;  ///< Elapsed parameter-learning time.
   /// Per-node CPD fit times (decentralized mode: the concurrent per-agent
   /// times whose max is the protocol's completion time).
@@ -115,12 +121,16 @@ KertResult construct_kert_continuous(
     ThreadPool* pool = nullptr);
 
 /// End-to-end construction of a discrete KERT-BN. \p train must already be
-/// discretized with \p discretizer.
+/// discretized with \p discretizer. \p cached_d_cpt optionally supplies
+/// D's CPT already materialized under \p discretizer (with \p leak_l), as
+/// in construct_kert_discrete_from_counts; the learner still sees it as a
+/// preset CPD, so ParameterLearnOptions::refit_existing applies as usual.
 KertResult construct_kert_discrete(
     const wf::Workflow& workflow, const wf::ResourceSharing& sharing,
     const DatasetDiscretizer& discretizer, const bn::Dataset& train,
     LearningMode mode = LearningMode::kCentralized, double leak_l = 0.02,
-    const bn::ParameterLearnOptions& learn = {}, ThreadPool* pool = nullptr);
+    const bn::ParameterLearnOptions& learn = {}, ThreadPool* pool = nullptr,
+    const bn::TabularCpd* cached_d_cpt = nullptr);
 
 /// Continuous KERT-BN from cached window statistics: \p gram is the
 /// combined augmented Gram matrix over the window's \p rows rows (see

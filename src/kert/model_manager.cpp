@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "common/contract.hpp"
+#include "common/stopwatch.hpp"
 #include "kert/serialize.hpp"
 #include "obs/span.hpp"
 #include "overload/governor.hpp"
@@ -278,12 +279,21 @@ Reconstruction ModelManager::reconstruct_full(const bn::Dataset& window,
     }
     discretizer_.emplace(window, config_.bins);
     ++discretizer_version_;
-    d_cpt_cache_.reset();
     rec.discretizer_refit = true;
+    // Materialize D's CPT once per discretizer version: the construction
+    // below and every incremental rebuild until the next refit share it.
+    Stopwatch cpt_timer;
+    d_cpt_cache_ = std::make_shared<const bn::TabularCpd>(
+        make_deterministic_cpt(workflow_, *discretizer_, config_.leak_l));
+    const double cpt_seconds = cpt_timer.seconds();
     const bn::Dataset discrete = discretizer_->discretize(window);
-    return construct_kert_discrete(workflow_, sharing_, *discretizer_,
-                                   discrete, config_.learning,
-                                   config_.leak_l, config_.learn, pool);
+    KertResult built = construct_kert_discrete(
+        workflow_, sharing_, *discretizer_, discrete, config_.learning,
+        config_.leak_l, config_.learn, pool, d_cpt_cache_.get());
+    // The construction report's skeleton time includes D's CPT.
+    built.report.structure_seconds += cpt_seconds;
+    built.report.total_seconds += cpt_seconds;
+    return built;
   }();
 
   model_ = std::move(result.net);
@@ -312,10 +322,11 @@ Reconstruction ModelManager::reconstruct_incremental(
           config_.learn, pool);
     }
     // Discretizer unchanged: the deterministic response CPT is a pure
-    // function of its edges, so materialize it once and reuse.
+    // function of its edges. The full rebuild that fitted the discretizer
+    // cached it; after a restore or a workflow update it is built here once.
     if (!d_cpt_cache_) {
-      d_cpt_cache_ =
-          make_deterministic_cpt(workflow_, *discretizer_, config_.leak_l);
+      d_cpt_cache_ = std::make_shared<const bn::TabularCpd>(
+          make_deterministic_cpt(workflow_, *discretizer_, config_.leak_l));
     }
     const std::vector<CountLayout> layouts =
         kert_discrete_count_layouts(workflow_, sharing_, config_.bins);
@@ -324,7 +335,7 @@ Reconstruction ModelManager::reconstruct_incremental(
     rec.rows_touched = counts.rows_scanned;
     return construct_kert_discrete_from_counts(
         workflow_, sharing_, *discretizer_, counts.node_counts,
-        config_.leak_l, config_.learn, pool, &*d_cpt_cache_);
+        config_.leak_l, config_.learn, pool, d_cpt_cache_.get());
   }();
 
   model_ = std::move(result.net);
@@ -345,7 +356,7 @@ std::optional<Reconstruction> ModelManager::try_reconstruct(
   // fit would abort on must be ruled out by validate_window above.
   std::optional<bn::BayesianNetwork> saved_model = model_;
   std::optional<DatasetDiscretizer> saved_discretizer = discretizer_;
-  std::optional<bn::TabularCpd> saved_d_cpt = d_cpt_cache_;
+  std::shared_ptr<const bn::TabularCpd> saved_d_cpt = d_cpt_cache_;
   const std::size_t saved_version = version_;
   const std::size_t saved_discretizer_version = discretizer_version_;
   const ModelHealth saved_health = health_;

@@ -290,7 +290,8 @@ class ModelManager {
   std::size_t discretizer_version_ = 0;
   /// Deterministic response CPT cached per discretizer version (rebuilding
   /// it costs bins^n integrations — the dominant discrete-mode cost).
-  std::optional<bn::TabularCpd> d_cpt_cache_;
+  /// Shared so the rollback stash in try_reconstruct costs no table copy.
+  std::shared_ptr<const bn::TabularCpd> d_cpt_cache_;
   // Health / guard state.
   ModelHealth health_ = ModelHealth::kNone;
   std::vector<HealthTransition> health_history_;

@@ -37,6 +37,20 @@ TEST(Rng, ReseedRestartsStream) {
   for (int i = 0; i < 10; ++i) EXPECT_EQ(a(), first[i]);
 }
 
+TEST(Rng, FillUniformMatchesSequentialDraws) {
+  Rng bulk(0x5EED5EED);
+  Rng single(0x5EED5EED);
+  for (std::size_t len : {0u, 1u, 383u, 384u}) {
+    std::vector<double> out(len, -1.0);
+    bulk.fill_uniform(out);
+    for (std::size_t i = 0; i < len; ++i) {
+      EXPECT_EQ(out[i], single.uniform()) << "span " << len << " value " << i;
+    }
+  }
+  // The stream position afterwards is the same too.
+  for (int i = 0; i < 16; ++i) EXPECT_EQ(bulk(), single());
+}
+
 TEST(Rng, UniformInUnitInterval) {
   Rng rng(3);
   for (int i = 0; i < 10000; ++i) {

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "common/rng.hpp"
+#include "sosim/scenario.hpp"
 #include "sosim/synthetic.hpp"
 #include "workflow/ediamond.hpp"
 
@@ -119,6 +122,89 @@ TEST(DeterministicCpt, RowsPutMassOnWorkflowBin) {
       total += integrated.probability(c, s);
     }
     EXPECT_NEAR(total, 1.0, 1e-9);
+  }
+}
+
+/// FNV-1a over the bit patterns of every entry of \p cpt, folded into \p h.
+std::uint64_t fnv1a_bits(const bn::TabularCpd& cpt, std::uint64_t h) {
+  for (std::size_t cfg = 0; cfg < cpt.config_count(); ++cfg) {
+    for (std::size_t s = 0; s < cpt.child_cardinality(); ++s) {
+      const auto bits = std::bit_cast<std::uint64_t>(cpt.probability(cfg, s));
+      for (int b = 0; b < 8; ++b) {
+        h ^= (bits >> (8 * b)) & 0xFFu;
+        h *= 0x100000001B3ULL;
+      }
+    }
+  }
+  return h;
+}
+
+constexpr std::uint64_t kFnvOffset = 0xCBF29CE484222325ULL;
+
+void count_kinds(const wf::Expr& e, std::size_t (&kinds)[6]) {
+  ++kinds[static_cast<std::size_t>(e.kind())];
+  for (const auto& c : e.children()) count_kinds(*c, kinds);
+}
+
+// The CPT's sampling stream (seed, draw order) and its arithmetic are part
+// of its output: these hashes pin every entry bit for bit, so any rewrite
+// of the materialization must reproduce them exactly.
+TEST(DeterministicCpt, TablesArePinned) {
+  // eDiaMoND 36-row windows (the benchmark's window) from six seeds, per
+  // bin count, over every sample count and leak combination.
+  sim::SyntheticEnvironment env = sim::make_ediamond_environment();
+  std::vector<bn::Dataset> windows;
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    Rng rng(seed);
+    windows.push_back(env.generate(36, rng));
+  }
+  const std::uint64_t ediamond_expected[] = {
+      0xBCBB5242BE379518ULL, 0x7FFBF0A226D22887ULL, 0x28F85598017869CAULL,
+      0x024179B9D428B4F8ULL};
+  for (std::size_t bins = 2; bins <= 5; ++bins) {
+    std::uint64_t h = kFnvOffset;
+    for (const bn::Dataset& window : windows) {
+      const DatasetDiscretizer disc(window, bins);
+      for (std::size_t samples : {64u, 1u, 7u}) {
+        for (double leak : {0.02, 0.1}) {
+          h = fnv1a_bits(
+              make_deterministic_cpt(env.workflow(), disc, leak, samples), h);
+        }
+      }
+    }
+    EXPECT_EQ(h, ediamond_expected[bins - 2]) << "bins " << bins << std::hex
+                                              << " hash 0x" << h;
+  }
+
+  // Generated workflows of 3-7 services: together they hold every operator
+  // the Cardoso reduction emits (sum, max, blend, scale).
+  sim::ScenarioFamilyOptions opts;
+  opts.min_services = 3;
+  opts.max_services = 7;
+  const sim::ScenarioFamily family(20261018, opts);
+  std::size_t kinds[6] = {};
+  const std::uint64_t scenario_expected[] = {0x4DAA0B112E3FDCE1ULL,
+                                             0xC9C4B529D8AAE647ULL};
+  std::uint64_t h[2] = {kFnvOffset, kFnvOffset};
+  for (std::size_t i = 0; i < 40; ++i) {
+    const sim::Scenario scenario = family.make(i);
+    count_kinds(*scenario.workflow.response_time_expr(), kinds);
+    sim::SyntheticEnvironment senv = scenario.make_environment();
+    Rng rng(scenario.seed);
+    const bn::Dataset window = senv.generate(36, rng);
+    for (std::size_t bins = 3; bins <= 4; ++bins) {
+      const DatasetDiscretizer disc(window, bins);
+      h[bins - 3] = fnv1a_bits(
+          make_deterministic_cpt(senv.workflow(), disc, 0.02), h[bins - 3]);
+    }
+  }
+  EXPECT_EQ(kinds[static_cast<std::size_t>(wf::ExprKind::kSum)], 47u);
+  EXPECT_EQ(kinds[static_cast<std::size_t>(wf::ExprKind::kMax)], 25u);
+  EXPECT_EQ(kinds[static_cast<std::size_t>(wf::ExprKind::kBlend)], 26u);
+  EXPECT_EQ(kinds[static_cast<std::size_t>(wf::ExprKind::kScale)], 14u);
+  for (std::size_t b = 0; b < 2; ++b) {
+    EXPECT_EQ(h[b], scenario_expected[b]) << "bins " << b + 3 << std::hex
+                                          << " hash 0x" << h[b];
   }
 }
 

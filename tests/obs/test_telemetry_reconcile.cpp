@@ -126,6 +126,9 @@ TEST(TelemetryReconcile, IncrementalDiscreteTracksHitsAndRefits) {
   std::size_t refits = 0;
   for (const Reconstruction& rec : history) refits += rec.discretizer_refit;
   EXPECT_EQ(delta.counter("kert.reconstruct.discretizer_refits"), refits);
+  // D's CPT is materialized once per discretizer version: by the rebuild
+  // that refits, and reused by every incremental rebuild after it.
+  EXPECT_EQ(sink->spans_named("kert.response_cpt").size(), refits);
 }
 
 #endif  // KERTBN_OBS_DISABLED
