@@ -663,6 +663,9 @@ void FactorWorkspace::build_key(std::span<const FlatFactor* const> ops,
   for (const FlatFactor* op : ops) {
     key_.push_back(op->scope.size());
     key_.insert(key_.end(), op->scope.begin(), op->scope.end());
+    // Plans bake in strides, so equal scopes with other cardinalities
+    // need their own plan.
+    key_.insert(key_.end(), op->cards.begin(), op->cards.end());
   }
   key_.push_back(target.size());
   key_.insert(key_.end(), target.begin(), target.end());

@@ -394,7 +394,8 @@ class FactorWorkspace {
       std::span<const FlatFactor* const> ops,
       std::span<const std::size_t> target);
 
-  /// Fills key_ with the length-prefixed scope tuple of \p ops (+ target).
+  /// Fills key_ with the length-prefixed scope and cardinality tuples of
+  /// \p ops (+ target).
   void build_key(std::span<const FlatFactor* const> ops,
                  std::span<const std::size_t> target);
 

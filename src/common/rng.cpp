@@ -16,7 +16,78 @@ std::uint64_t splitmix64(std::uint64_t& x) {
   return z ^ (z >> 31);
 }
 
+/// A polynomial over GF(2) of degree < 256: bit b of word w is the
+/// coefficient of x^(64w + b).
+using Poly = std::array<std::uint64_t, 4>;
+
+/// The terms of P below x^256, where P(x) = x^256 + kCharLow(x) is the
+/// characteristic polynomial of the xoshiro256 state transition
+/// (recovered by Berlekamp-Massey from the bit sequence of one state bit;
+/// Rng.JumpReproducesPublishedXoshiroJump checks it against the reference
+/// JUMP constant).
+constexpr Poly kCharLow = {0x9d116f2bb0f0f001ULL, 0x0280002bcefd1a5eULL,
+                           0x04b4edcf26259f85ULL, 0x0003c03c3f3ecb19ULL};
+
+/// a^2 mod P. Over GF(2) squaring spreads the coefficients (the cross
+/// terms cancel); the upper half then folds back through x^256 = kCharLow,
+/// top term first, since each fold only sets lower terms.
+constexpr Poly square_mod_p(const Poly& a) {
+  std::array<std::uint64_t, 8> sq{};
+  for (int b = 0; b < 256; ++b) {
+    if ((a[b / 64] >> (b % 64)) & 1) sq[b / 32] |= 1ULL << ((2 * b) % 64);
+  }
+  for (int b = 511; b >= 256; --b) {
+    if (((sq[b / 64] >> (b % 64)) & 1) == 0) continue;
+    sq[b / 64] ^= 1ULL << (b % 64);
+    const int word = (b - 256) / 64;
+    const int bit = (b - 256) % 64;
+    for (int w = 0; w < 4; ++w) {
+      sq[w + word] ^= kCharLow[w] << bit;
+      if (bit != 0) sq[w + word + 1] ^= kCharLow[w] >> (64 - bit);
+    }
+  }
+  return {sq[0], sq[1], sq[2], sq[3]};
+}
+
+constexpr Poly pow2_mod_p(unsigned k) {
+  Poly p = {2, 0, 0, 0};  // x
+  for (unsigned i = 0; i < k; ++i) p = square_mod_p(p);
+  return p;
+}
+
+/// x^(2^k) mod P for every bit k of a 64-bit jump distance.
+constexpr std::array<Poly, 64> kPow2 = [] {
+  std::array<Poly, 64> t{};
+  Poly p = pow2_mod_p(0);
+  for (Poly& entry : t) {
+    entry = p;
+    p = square_mod_p(p);
+  }
+  return t;
+}();
+
 }  // namespace
+
+void Rng::jump(std::uint64_t steps) {
+  // state <- q(T) state = sum over the terms x^b of q of T^b state.
+  for (unsigned k = 8; k < 64; ++k) {
+    if (((steps >> k) & 1) == 0) continue;
+    const Poly& q = kPow2[k];
+    std::array<std::uint64_t, 4> acc{};
+    for (unsigned b = 0; b < 256; ++b) {
+      if ((q[b / 64] >> (b % 64)) & 1) {
+        for (int w = 0; w < 4; ++w) acc[w] ^= state_[w];
+      }
+      step(state_);
+    }
+    state_ = acc;
+  }
+  for (std::uint64_t i = steps & 0xFF; i > 0; --i) step(state_);
+}
+
+std::array<std::uint64_t, 4> Rng::jump_polynomial(unsigned k) {
+  return pow2_mod_p(k);
+}
 
 void Rng::reseed(std::uint64_t seed) {
   std::uint64_t s = seed;

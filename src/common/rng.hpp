@@ -10,7 +10,6 @@
 
 #include <array>
 #include <cstdint>
-#include <span>
 #include <vector>
 
 namespace kertbn {
@@ -36,17 +35,29 @@ class Rng {
   /// Next raw 64-bit draw.
   result_type operator()() { return step(state_); }
 
+  /// Advances the stream by \p steps draws: afterwards the generator is
+  /// exactly where \p steps operator() calls would have left it (a cached
+  /// normal() value is kept, as those calls keep it).
+  ///
+  /// xoshiro256's state transition T is linear over GF(2), so by
+  /// Cayley-Hamilton T^J = q(T) with q = x^J mod P, where P is T's
+  /// characteristic polynomial (degree 256, see jump_polynomial). q is
+  /// assembled from the bits of J: each set bit k >= 8 applies the
+  /// precomputed x^(2^k) mod P (256 steps with conditional XORs), and the
+  /// low 8 bits are stepped directly — at most ~14k steps for any J
+  /// instead of J. Used to start independent streams at chosen positions
+  /// of one stream (RngLanes).
+  void jump(std::uint64_t steps);
+
+  /// Coefficients of x^(2^k) mod P — the polynomial that advances the
+  /// stream by 2^k draws — with bit b of word w the coefficient of
+  /// x^(64w + b). P = x^256 + low is the characteristic polynomial of the
+  /// xoshiro256 transition; jump_polynomial(128) is the reference
+  /// implementation's JUMP constant. Costs k modular squarings.
+  static std::array<std::uint64_t, 4> jump_polynomial(unsigned k);
+
   /// Uniform double in [0, 1).
   double uniform() { return to_unit(step(state_)); }
-
-  /// Fills \p out with uniform doubles in [0, 1): exactly the values (and
-  /// the stream position afterwards) of out.size() successive uniform()
-  /// calls, with the generator inlined into one loop.
-  void fill_uniform(std::span<double> out) {
-    std::array<std::uint64_t, 4> s = state_;
-    for (double& v : out) v = to_unit(step(s));
-    state_ = s;
-  }
 
   /// Uniform double in [lo, hi).
   double uniform(double lo, double hi);
@@ -100,11 +111,15 @@ class Rng {
   std::vector<std::size_t> permutation(std::size_t n);
 
  private:
+  friend class RngLanes;
+
   static std::uint64_t rotl(std::uint64_t x, int k) {
     return (x << k) | (x >> (64 - k));
   }
 
-  /// One xoshiro256** step: the single definition every draw goes through.
+  /// One xoshiro256** step: the definition every serial draw goes through.
+  /// RngLanes' vector kernels restate it per lane and are tested against
+  /// it.
   static std::uint64_t step(std::array<std::uint64_t, 4>& s) {
     const std::uint64_t result = rotl(s[1] * 5, 7) * 9;
     const std::uint64_t t = s[1] << 17;

@@ -1,11 +1,14 @@
 #include "kert/kert_builder.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "bn/deterministic_cpd.hpp"
 #include "common/contract.hpp"
+#include "common/rng_lanes.hpp"
 #include "common/stopwatch.hpp"
+#include "kert/response_tape.hpp"
 #include "obs/span.hpp"
 
 namespace kertbn::core {
@@ -57,118 +60,6 @@ bn::DeterministicFn make_response_fn(const wf::Workflow& workflow) {
   return fn;
 }
 
-namespace {
-
-/// f compiled into a flat post-order tape over rows of `width` doubles, one
-/// lane per sample. Rows 0..n-1 are the service samples, which the leaves
-/// read directly; every internal node owns one further row. run() applies
-/// exactly the arithmetic of wf::Expr::evaluate in each lane — sums and
-/// blends fold left from 0.0, max takes its children in order — so every
-/// lane equals a single-point evaluation bit for bit.
-class ResponseTape {
- public:
-  ResponseTape(const wf::Expr& expr, std::size_t n, std::size_t width)
-      : n_(n), width_(width), row_count_(n) {
-    result_ = compile(expr);
-    rows_.assign(row_count_ * width_, 0.0);
-  }
-
-  /// Service \p i's samples, one per lane.
-  double* service_row(std::size_t i) { return row(i); }
-
-  /// Evaluates f in every lane; returns the row holding the results.
-  const double* run() {
-    for (const Op& op : ops_) {
-      double* out = row(op.out);
-      const std::size_t* args = args_.data() + op.first_arg;
-      const double* weights = weights_.data() + op.first_arg;
-      switch (op.kind) {
-        case wf::ExprKind::kSum:
-          std::fill_n(out, width_, 0.0);
-          for (std::size_t j = 0; j < op.arg_count; ++j) {
-            const double* c = row(args[j]);
-            for (std::size_t k = 0; k < width_; ++k) out[k] += c[k];
-          }
-          break;
-        case wf::ExprKind::kMax:
-          std::copy_n(row(args[0]), width_, out);
-          for (std::size_t j = 1; j < op.arg_count; ++j) {
-            const double* c = row(args[j]);
-            for (std::size_t k = 0; k < width_; ++k) {
-              out[k] = std::max(out[k], c[k]);
-            }
-          }
-          break;
-        case wf::ExprKind::kBlend:
-          std::fill_n(out, width_, 0.0);
-          for (std::size_t j = 0; j < op.arg_count; ++j) {
-            const double* c = row(args[j]);
-            const double p = weights[j];
-            for (std::size_t k = 0; k < width_; ++k) out[k] += p * c[k];
-          }
-          break;
-        case wf::ExprKind::kScale: {
-          const double* c = row(args[0]);
-          const double factor = weights[0];
-          for (std::size_t k = 0; k < width_; ++k) out[k] = factor * c[k];
-          break;
-        }
-        case wf::ExprKind::kService:
-        case wf::ExprKind::kConstant:
-          KERTBN_ASSERT(false && "leaves are rows, not ops");
-          break;
-      }
-    }
-    return row(result_);
-  }
-
- private:
-  struct Op {
-    wf::ExprKind kind;
-    std::size_t out;        ///< Row written.
-    std::size_t first_arg;  ///< Children: args_/weights_[first_arg, +count).
-    std::size_t arg_count;
-  };
-
-  double* row(std::size_t r) { return rows_.data() + r * width_; }
-
-  /// Emits \p e's ops after its children's; returns the row holding e.
-  std::size_t compile(const wf::Expr& e) {
-    if (e.kind() == wf::ExprKind::kService) {
-      KERTBN_EXPECTS(e.service_index() < n_);
-      return e.service_index();
-    }
-    // The Cardoso reduction emits no constants.
-    KERTBN_EXPECTS(e.kind() != wf::ExprKind::kConstant);
-    std::vector<std::size_t> children;
-    for (const auto& c : e.children()) children.push_back(compile(*c));
-    const Op op{e.kind(), row_count_++, args_.size(), children.size()};
-    args_.insert(args_.end(), children.begin(), children.end());
-    if (e.kind() == wf::ExprKind::kBlend) {
-      weights_.insert(weights_.end(), e.blend_probs().begin(),
-                      e.blend_probs().end());
-    } else if (e.kind() == wf::ExprKind::kScale) {
-      weights_.push_back(e.scale_factor());
-    } else {
-      weights_.resize(args_.size(), 0.0);
-    }
-    ops_.push_back(op);
-    return op.out;
-  }
-
-  std::size_t n_;
-  std::size_t width_;
-  std::size_t row_count_;
-  std::size_t result_ = 0;
-  std::vector<Op> ops_;
-  std::vector<std::size_t> args_;
-  /// Parallel to args_: blend probabilities, the scale factor, else 0.
-  std::vector<double> weights_;
-  std::vector<double> rows_;
-};
-
-}  // namespace
-
 bn::TabularCpd make_deterministic_cpt(const wf::Workflow& workflow,
                                       const DatasetDiscretizer& discretizer,
                                       double leak_l,
@@ -178,8 +69,11 @@ bn::TabularCpd make_deterministic_cpt(const wf::Workflow& workflow,
   const std::size_t n = workflow.service_count();
   KERTBN_EXPECTS(discretizer.columns() == n + 1);
   KERTBN_SPAN("kert.response_cpt");
+  constexpr std::size_t kLanes = RngLanes::kLanes;
   const std::size_t bins = discretizer.bins();
-  const std::size_t width = samples_per_config;
+  const std::size_t samples = samples_per_config;
+  // Sample k of lane j sits at k * kLanes + j of every tape row.
+  const std::size_t width = kLanes * samples;
   ResponseTape tape(*workflow.response_time_expr(), n, width);
 
   // Sampling box [lo, lo + w) of every (service, bin): the interval the
@@ -190,7 +84,7 @@ bn::TabularCpd make_deterministic_cpt(const wf::Workflow& workflow,
     for (std::size_t b = 0; b < bins; ++b) {
       const auto [lo, hi] = discretizer.column(i).interval_of(b);
       const double top = std::max(hi, lo + 1e-12);
-      if (width > 1) KERTBN_EXPECTS(lo <= top);
+      if (samples > 1) KERTBN_EXPECTS(lo <= top);
       box_lo[i * bins + b] = lo;
       box_w[i * bins + b] = top - lo;
     }
@@ -207,56 +101,87 @@ bn::TabularCpd make_deterministic_cpt(const wf::Workflow& workflow,
 
   std::size_t configs = 1;
   for (std::size_t i = 0; i < n; ++i) configs *= bins;
+  // Lane j owns the configurations [j * block, (j + 1) * block) and takes
+  // one per pass; the last lanes may run out before the final passes.
+  const std::size_t block = (configs + kLanes - 1) / kLanes;
 
   std::vector<double> table(configs * bins, 0.0);
-  std::vector<std::size_t> states(n, 0);
-  std::vector<double> draws(width * n);
+  // states[j * n + i]: parent i's state in lane j's current configuration.
+  std::vector<std::size_t> states(kLanes * n);
+  for (std::size_t j = 0; j < kLanes; ++j) {
+    std::size_t cfg = j * block;
+    for (std::size_t i = n; i-- > 0;) {
+      states[j * n + i] = cfg % bins;
+      cfg /= bins;
+    }
+  }
+  // Per pass, lane j's box for service i at [i * kLanes + j].
+  std::vector<double> lane_lo(n * kLanes);
+  std::vector<double> lane_w(n * kLanes);
   const double off_mass = leak_l / static_cast<double>(bins);
-  const double hit_mass = (1.0 - leak_l) / static_cast<double>(width);
+  const double hit_mass = (1.0 - leak_l) / static_cast<double>(samples);
   // mass_after[c]: c hit masses added one at a time from 0.0 — the value
   // a bin's entry reaches when its c samples are accumulated in order.
-  std::vector<double> mass_after(width + 1, 0.0);
-  for (std::size_t c = 1; c <= width; ++c) {
+  std::vector<double> mass_after(samples + 1, 0.0);
+  for (std::size_t c = 1; c <= samples; ++c) {
     mass_after[c] = mass_after[c - 1] + hit_mass;
   }
   // Fixed seed: the CPT is a deterministic function of the knowledge
   // (workflow + bin geometry), reproducible across reconstructions. The
-  // draw order — per sample, every service in order — is part of the output.
-  Rng rng(0x5EED5EED);
+  // draw order — configuration by configuration, then per sample every
+  // service in order — is part of the output. Each configuration takes
+  // n * samples draws, so lane j starts j * block * n * samples draws in
+  // and every configuration gets the draws of the serial stream.
+  RngLanes rng(Rng(0x5EED5EED), block * n * samples);
 
-  for (std::size_t cfg = 0; cfg < configs; ++cfg) {
-    if (width == 1) {
-      for (std::size_t i = 0; i < n; ++i) {
-        *tape.service_row(i) = discretizer.column(i).center_of(states[i]);
-      }
-    } else {
-      rng.fill_uniform(draws);
-      for (std::size_t i = 0; i < n; ++i) {
-        const double lo = box_lo[i * bins + states[i]];
-        const double w = box_w[i * bins + states[i]];
-        double* x = tape.service_row(i);
-        for (std::size_t k = 0; k < width; ++k) {
-          x[k] = lo + w * draws[k * n + i];
+  for (std::size_t pass = 0; pass < block; ++pass) {
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = 0; j < kLanes; ++j) {
+        const std::size_t b = states[j * n + i];
+        if (samples == 1) {
+          tape.service_row(i)[j] = discretizer.column(i).center_of(b);
+        } else {
+          lane_lo[i * kLanes + j] = box_lo[i * bins + b];
+          lane_w[i * kLanes + j] = box_w[i * bins + b];
         }
       }
     }
+    if (samples > 1) {
+      rng.fill_boxes(tape.service_row(0), width, n, samples, lane_lo.data(),
+                     lane_w.data());
+    }
     // Bin b holds the samples past edge b-1 but not past edge b.
     const double* f = tape.run();
-    double* row = table.data() + cfg * bins;
-    std::size_t above_prev = width;
-    for (std::size_t b = 0; b + 1 < bins; ++b) {
-      const double edge = d_edges[b];
-      std::size_t above = 0;
-      for (std::size_t k = 0; k < width; ++k) above += !(f[k] < edge);
-      row[b] = mass_after[above_prev - above] + off_mass;
-      above_prev = above;
+    std::array<std::size_t, kLanes> above_prev;
+    above_prev.fill(samples);
+    for (std::size_t b = 0; b < bins; ++b) {
+      // Counted in doubles (exact below 2^53), a form the compiler
+      // vectorizes across the lanes.
+      double above[kLanes] = {};
+      if (b + 1 < bins) {
+        const double edge = d_edges[b];
+        for (std::size_t k = 0; k < samples; ++k) {
+          for (std::size_t j = 0; j < kLanes; ++j) {
+            above[j] += f[k * kLanes + j] < edge ? 0.0 : 1.0;
+          }
+        }
+      }
+      for (std::size_t j = 0; j < kLanes; ++j) {
+        const auto count = static_cast<std::size_t>(above[j]);
+        const std::size_t cfg = j * block + pass;
+        if (cfg < configs) {
+          table[cfg * bins + b] = mass_after[above_prev[j] - count] + off_mass;
+        }
+        above_prev[j] = count;
+      }
     }
-    row[bins - 1] = mass_after[above_prev] + off_mass;
-    // Advance mixed-radix parent counter (last parent fastest, matching
-    // TabularCpd's config indexing).
-    for (std::size_t i = n; i-- > 0;) {
-      if (++states[i] < bins) break;
-      states[i] = 0;
+    // Advance each lane's mixed-radix parent counter (last parent fastest,
+    // matching TabularCpd's config indexing).
+    for (std::size_t j = 0; j < kLanes; ++j) {
+      for (std::size_t i = n; i-- > 0;) {
+        if (++states[j * n + i] < bins) break;
+        states[j * n + i] = 0;
+      }
     }
   }
   return bn::TabularCpd(bins, std::vector<std::size_t>(n, bins),

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <sstream>
+#include <utility>
 
 #include "common/contract.hpp"
 #include "common/stopwatch.hpp"
@@ -353,8 +354,12 @@ std::optional<Reconstruction> ModelManager::try_reconstruct(
   // Stash the last-known-good serving state. The codebase is contract-based
   // (no exceptions), so only failures the fit reports by value — a built
   // model with non-finite output — are recoverable here; everything the
-  // fit would abort on must be ruled out by validate_window above.
-  std::optional<bn::BayesianNetwork> saved_model = model_;
+  // fit would abort on must be ruled out by validate_window above. The
+  // rebuild never reads the old network, so it is moved out rather than
+  // copied (D's CPT alone is bins^(n+1) entries); std::exchange leaves
+  // model_ empty, where a plain move would leave it engaged.
+  std::optional<bn::BayesianNetwork> saved_model =
+      std::exchange(model_, std::nullopt);
   std::optional<DatasetDiscretizer> saved_discretizer = discretizer_;
   std::shared_ptr<const bn::TabularCpd> saved_d_cpt = d_cpt_cache_;
   const std::size_t saved_version = version_;

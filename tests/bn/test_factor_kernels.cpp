@@ -185,6 +185,32 @@ TEST(FactorWorkspaceCache, PlansAreReusedAcrossCalls) {
   EXPECT_EQ(ws.plan_hits(), 11u);
 }
 
+// One workspace, the same scope ids with other cardinalities: the plans
+// bake in strides, so each shape needs its own; a plan built for one shape
+// indexes out of bounds when run on another.
+TEST(FactorWorkspaceCache, EqualScopesWithOtherCardinalitiesGetOwnPlans) {
+  kertbn::Rng rng(109);
+  FactorWorkspace ws;
+  const std::vector<std::vector<std::size_t>> shapes = {
+      {2, 3, 2}, {4, 5, 3}, {2, 3, 2}, {3, 2, 5}};
+  for (const std::vector<std::size_t>& c : shapes) {
+    const Factor a = random_factor({0, 1}, {c[0], c[1]}, rng);
+    const Factor b = random_factor({1, 2}, {c[1], c[2]}, rng);
+    FlatFactor product;
+    ws.product(FlatFactor::from(a), FlatFactor::from(b), product);
+    const Factor legacy = a.product(b);
+    expect_bitwise_equal(legacy, product);
+
+    FlatFactor reduced;
+    ws.reduce(product, std::vector<std::size_t>{1}, reduced);
+    expect_bitwise_equal(legacy.marginalize(0).marginalize(2), reduced);
+  }
+  // Three distinct shapes, a product and a reduce plan each; the repeated
+  // shape hits both.
+  EXPECT_EQ(ws.plan_misses(), 6u);
+  EXPECT_EQ(ws.plan_hits(), 2u);
+}
+
 TEST(FactorKernels, RoundTripThroughFactor) {
   kertbn::Rng rng(108);
   const Factor f = random_factor({2, 4}, {3, 2}, rng);

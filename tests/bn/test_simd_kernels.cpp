@@ -27,33 +27,15 @@
 #include "bn/factor_simd.hpp"
 #include "common/cpu_features.hpp"
 #include "common/rng.hpp"
+#include "support/simd_tiers.hpp"
 
 namespace kertbn::bn {
 namespace {
 
+using test_support::runnable_tiers;
+using test_support::TierGuard;
+
 namespace sk = simd_kernels;
-
-/// Restores the dispatch tier a test mutated, even on assertion exit.
-class TierGuard {
- public:
-  TierGuard() : saved_(simd::active_tier()) {}
-  ~TierGuard() { simd::set_active_tier(saved_); }
-
- private:
-  simd::Tier saved_;
-};
-
-/// Distinct tiers the host can actually run (set_active_tier clamps, so
-/// on an AVX2-only host the avx512 request collapses into avx2).
-std::vector<simd::Tier> runnable_tiers() {
-  std::vector<simd::Tier> tiers;
-  for (simd::Tier want :
-       {simd::Tier::kScalar, simd::Tier::kAvx2, simd::Tier::kAvx512}) {
-    const simd::Tier got = simd::set_active_tier(want);
-    if (tiers.empty() || tiers.back() != got) tiers.push_back(got);
-  }
-  return tiers;
-}
 
 Factor random_factor(const std::vector<std::size_t>& scope,
                      const std::vector<std::size_t>& cards, kertbn::Rng& rng) {

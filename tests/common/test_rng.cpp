@@ -3,10 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <array>
 #include <cmath>
 #include <set>
+#include <vector>
 
+#include "common/rng_lanes.hpp"
 #include "common/stats.hpp"
+#include "support/simd_tiers.hpp"
 
 namespace kertbn {
 namespace {
@@ -37,18 +42,89 @@ TEST(Rng, ReseedRestartsStream) {
   for (int i = 0; i < 10; ++i) EXPECT_EQ(a(), first[i]);
 }
 
-TEST(Rng, FillUniformMatchesSequentialDraws) {
-  Rng bulk(0x5EED5EED);
-  Rng single(0x5EED5EED);
-  for (std::size_t len : {0u, 1u, 383u, 384u}) {
-    std::vector<double> out(len, -1.0);
-    bulk.fill_uniform(out);
-    for (std::size_t i = 0; i < len; ++i) {
-      EXPECT_EQ(out[i], single.uniform()) << "span " << len << " value " << i;
+TEST(Rng, JumpMatchesSequentialSteps) {
+  // Around the 256-step polynomial boundary, the 64 * 6-draw eDiaMoND
+  // configuration, and its 4-bin lane stride (512 configurations).
+  std::vector<std::uint64_t> distances = {0,   1,   255, 256,    257,
+                                          383, 384, 1'572'864};
+  Rng pick(17);
+  for (int i = 0; i < 8; ++i) distances.push_back(pick.uniform_index(1 << 20));
+  for (std::uint64_t distance : distances) {
+    Rng jumped(0x5EED5EED);
+    Rng stepped(0x5EED5EED);
+    jumped.jump(distance);
+    for (std::uint64_t i = 0; i < distance; ++i) stepped();
+    for (int i = 0; i < 64; ++i) {
+      ASSERT_EQ(jumped(), stepped()) << "distance " << distance << " draw " << i;
     }
   }
-  // The stream position afterwards is the same too.
-  for (int i = 0; i < 16; ++i) EXPECT_EQ(bulk(), single());
+}
+
+TEST(Rng, JumpReproducesPublishedXoshiroJump) {
+  // The reference xoshiro256 jump() and long_jump() advance 2^128 and 2^192
+  // draws; their constants are x^(2^128) and x^(2^192) mod P.
+  const std::array<std::uint64_t, 4> jump = {
+      0x180ec6d33cfd0abaULL, 0xd5a61266f0c9392cULL, 0xa9582618e03fc9aaULL,
+      0x39abdc4529b1661cULL};
+  const std::array<std::uint64_t, 4> long_jump = {
+      0x76e15d3efefdcbbfULL, 0xc5004e441c522fb3ULL, 0x77710069854ee241ULL,
+      0x39109bb02acbe635ULL};
+  EXPECT_EQ(Rng::jump_polynomial(128), jump);
+  EXPECT_EQ(Rng::jump_polynomial(192), long_jump);
+  // Below the degree of P, x^(2^k) is the monomial itself.
+  const std::array<std::uint64_t, 4> x_to_128 = {0, 0, 1, 0};
+  EXPECT_EQ(Rng::jump_polynomial(7), x_to_128);
+}
+
+TEST(Rng, LaneFillMatchesSerialStreamsOnEveryTier) {
+  test_support::TierGuard guard;
+  constexpr std::size_t kLanes = RngLanes::kLanes;
+  constexpr std::size_t dims = 3;
+  constexpr std::size_t samples = 5;
+  constexpr std::size_t row_stride = kLanes * samples + 3;  // padded rows
+  Rng pick(23);
+  std::vector<double> lo(dims * kLanes);
+  std::vector<double> w(dims * kLanes);
+  for (std::size_t e = 0; e < lo.size(); ++e) {
+    lo[e] = pick.uniform(-2.0, 2.0);
+    w[e] = pick.uniform(0.0, 3.0);
+  }
+  for (std::uint64_t stride : {0u, 1u, 37u, 3000u}) {
+    // Lane j's expected values: its serial stream, stepped j * stride in.
+    std::vector<Rng> serial;
+    for (std::size_t j = 0; j < kLanes; ++j) {
+      serial.emplace_back(99);
+      for (std::uint64_t i = 0; i < j * stride; ++i) serial.back()();
+    }
+    // Three fills: the state carries from one call to the next.
+    std::vector<std::vector<double>> want(3);
+    for (auto& fill : want) {
+      fill.assign(dims * row_stride, 0.0);
+      for (std::size_t k = 0; k < samples; ++k) {
+        for (std::size_t d = 0; d < dims; ++d) {
+          for (std::size_t j = 0; j < kLanes; ++j) {
+            fill[d * row_stride + k * kLanes + j] =
+                lo[d * kLanes + j] + w[d * kLanes + j] * serial[j].uniform();
+          }
+        }
+      }
+    }
+    for (simd::Tier tier : test_support::runnable_tiers()) {
+      simd::set_active_tier(tier);
+      RngLanes lanes(Rng(99), stride);
+      for (const auto& fill : want) {
+        std::vector<double> got(dims * row_stride, 0.0);
+        lanes.fill_boxes(got.data(), row_stride, dims, samples, lo.data(),
+                         w.data());
+        for (std::size_t e = 0; e < got.size(); ++e) {
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(got[e]),
+                    std::bit_cast<std::uint64_t>(fill[e]))
+              << simd::to_string(tier) << " stride " << stride << " entry "
+              << e;
+        }
+      }
+    }
+  }
 }
 
 TEST(Rng, UniformInUnitInterval) {

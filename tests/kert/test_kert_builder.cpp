@@ -2,13 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <vector>
 
+#include "common/cpu_features.hpp"
 #include "common/rng.hpp"
+#include "kert/response_tape.hpp"
 #include "sosim/scenario.hpp"
 #include "sosim/synthetic.hpp"
+#include "support/simd_tiers.hpp"
 #include "workflow/ediamond.hpp"
 
 namespace kertbn::core {
@@ -146,21 +152,16 @@ void count_kinds(const wf::Expr& e, std::size_t (&kinds)[6]) {
   for (const auto& c : e.children()) count_kinds(*c, kinds);
 }
 
-// The CPT's sampling stream (seed, draw order) and its arithmetic are part
-// of its output: these hashes pin every entry bit for bit, so any rewrite
-// of the materialization must reproduce them exactly.
-TEST(DeterministicCpt, TablesArePinned) {
-  // eDiaMoND 36-row windows (the benchmark's window) from six seeds, per
-  // bin count, over every sample count and leak combination.
+/// Hashes of eDiaMoND tables at 2-5 bins from six 36-row windows (the
+/// benchmark's window) over every sample count and leak combination.
+std::array<std::uint64_t, 4> ediamond_table_hashes() {
   sim::SyntheticEnvironment env = sim::make_ediamond_environment();
   std::vector<bn::Dataset> windows;
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
     Rng rng(seed);
     windows.push_back(env.generate(36, rng));
   }
-  const std::uint64_t ediamond_expected[] = {
-      0xBCBB5242BE379518ULL, 0x7FFBF0A226D22887ULL, 0x28F85598017869CAULL,
-      0x024179B9D428B4F8ULL};
+  std::array<std::uint64_t, 4> hashes{};
   for (std::size_t bins = 2; bins <= 5; ++bins) {
     std::uint64_t h = kFnvOffset;
     for (const bn::Dataset& window : windows) {
@@ -172,9 +173,22 @@ TEST(DeterministicCpt, TablesArePinned) {
         }
       }
     }
-    EXPECT_EQ(h, ediamond_expected[bins - 2]) << "bins " << bins << std::hex
-                                              << " hash 0x" << h;
+    hashes[bins - 2] = h;
   }
+  return hashes;
+}
+
+// The CPT's sampling stream (seed, draw order) and its arithmetic are part
+// of its output: these hashes pin every entry bit for bit, so any rewrite
+// of the materialization must reproduce them exactly — on every dispatch
+// tier, since the draws come from per-tier lane kernels. The eDiaMoND
+// configuration counts 64, 729, 4096 and 15625 include blocks of lanes
+// that 8 does not divide.
+TEST(DeterministicCpt, TablesArePinned) {
+  test_support::TierGuard guard;
+  const std::array<std::uint64_t, 4> ediamond_expected = {
+      0xBCBB5242BE379518ULL, 0x7FFBF0A226D22887ULL, 0x28F85598017869CAULL,
+      0x024179B9D428B4F8ULL};
 
   // Generated workflows of 3-7 services: together they hold every operator
   // the Cardoso reduction emits (sum, max, blend, scale).
@@ -182,29 +196,84 @@ TEST(DeterministicCpt, TablesArePinned) {
   opts.min_services = 3;
   opts.max_services = 7;
   const sim::ScenarioFamily family(20261018, opts);
+  std::vector<sim::Scenario> scenarios;
+  std::vector<bn::Dataset> scenario_windows;
   std::size_t kinds[6] = {};
-  const std::uint64_t scenario_expected[] = {0x4DAA0B112E3FDCE1ULL,
-                                             0xC9C4B529D8AAE647ULL};
-  std::uint64_t h[2] = {kFnvOffset, kFnvOffset};
   for (std::size_t i = 0; i < 40; ++i) {
-    const sim::Scenario scenario = family.make(i);
-    count_kinds(*scenario.workflow.response_time_expr(), kinds);
-    sim::SyntheticEnvironment senv = scenario.make_environment();
-    Rng rng(scenario.seed);
-    const bn::Dataset window = senv.generate(36, rng);
-    for (std::size_t bins = 3; bins <= 4; ++bins) {
-      const DatasetDiscretizer disc(window, bins);
-      h[bins - 3] = fnv1a_bits(
-          make_deterministic_cpt(senv.workflow(), disc, 0.02), h[bins - 3]);
-    }
+    scenarios.push_back(family.make(i));
+    count_kinds(*scenarios.back().workflow.response_time_expr(), kinds);
+    sim::SyntheticEnvironment senv = scenarios.back().make_environment();
+    Rng rng(scenarios.back().seed);
+    scenario_windows.push_back(senv.generate(36, rng));
   }
   EXPECT_EQ(kinds[static_cast<std::size_t>(wf::ExprKind::kSum)], 47u);
   EXPECT_EQ(kinds[static_cast<std::size_t>(wf::ExprKind::kMax)], 25u);
   EXPECT_EQ(kinds[static_cast<std::size_t>(wf::ExprKind::kBlend)], 26u);
   EXPECT_EQ(kinds[static_cast<std::size_t>(wf::ExprKind::kScale)], 14u);
-  for (std::size_t b = 0; b < 2; ++b) {
-    EXPECT_EQ(h[b], scenario_expected[b]) << "bins " << b + 3 << std::hex
-                                          << " hash 0x" << h[b];
+  const std::uint64_t scenario_expected[] = {0x4DAA0B112E3FDCE1ULL,
+                                             0xC9C4B529D8AAE647ULL};
+
+  for (simd::Tier tier : test_support::runnable_tiers()) {
+    simd::set_active_tier(tier);
+    SCOPED_TRACE(simd::to_string(tier));
+    const std::array<std::uint64_t, 4> ediamond = ediamond_table_hashes();
+    for (std::size_t b = 0; b < 4; ++b) {
+      EXPECT_EQ(ediamond[b], ediamond_expected[b])
+          << "bins " << b + 2 << std::hex << " hash 0x" << ediamond[b];
+    }
+    std::uint64_t h[2] = {kFnvOffset, kFnvOffset};
+    for (std::size_t i = 0; i < scenarios.size(); ++i) {
+      for (std::size_t bins = 3; bins <= 4; ++bins) {
+        const DatasetDiscretizer disc(scenario_windows[i], bins);
+        h[bins - 3] = fnv1a_bits(
+            make_deterministic_cpt(scenarios[i].workflow, disc, 0.02),
+            h[bins - 3]);
+      }
+    }
+    for (std::size_t b = 0; b < 2; ++b) {
+      EXPECT_EQ(h[b], scenario_expected[b])
+          << "bins " << b + 3 << std::hex << " hash 0x" << h[b];
+    }
+  }
+}
+
+// The tape's contract: every element is Expr::evaluate at that point, bit
+// for bit, on every dispatch tier. Generated workflows bring every
+// operator; 67 elements leave a remainder at every vector width.
+TEST(ResponseTape, EveryElementMatchesExprEvaluateOnEveryTier) {
+  test_support::TierGuard guard;
+  sim::ScenarioFamilyOptions opts;
+  opts.min_services = 3;
+  opts.max_services = 7;
+  const sim::ScenarioFamily family(20261018, opts);
+  constexpr std::size_t width = 67;
+  Rng rng(77);
+  for (std::size_t s = 0; s < 40; ++s) {
+    const sim::Scenario scenario = family.make(s);
+    const wf::Expr::Ptr expr = scenario.workflow.response_time_expr();
+    const std::size_t n = scenario.workflow.service_count();
+    std::vector<double> x(n * width);
+    for (double& v : x) v = rng.uniform(0.01, 3.0);
+    std::vector<double> want(width);
+    std::vector<double> point(n);
+    for (std::size_t k = 0; k < width; ++k) {
+      for (std::size_t i = 0; i < n; ++i) point[i] = x[i * width + k];
+      want[k] = expr->evaluate(point);
+    }
+    for (simd::Tier tier : test_support::runnable_tiers()) {
+      simd::set_active_tier(tier);
+      ResponseTape tape(*expr, n, width);
+      for (std::size_t i = 0; i < n; ++i) {
+        std::copy_n(x.begin() + static_cast<std::ptrdiff_t>(i * width), width,
+                    tape.service_row(i));
+      }
+      const double* f = tape.run();
+      for (std::size_t k = 0; k < width; ++k) {
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(f[k]),
+                  std::bit_cast<std::uint64_t>(want[k]))
+            << simd::to_string(tier) << " scenario " << s << " element " << k;
+      }
+    }
   }
 }
 

@@ -16,9 +16,12 @@
 #include "common/thread_pool.hpp"
 #include "kert/kert_builder.hpp"
 #include "sosim/synthetic.hpp"
+#include "support/simd_tiers.hpp"
 
 namespace kertbn::core {
 namespace {
+
+using test_support::TierGuard;
 
 /// Random discrete network (same construction as the junction-tree tests).
 bn::BayesianNetwork random_network(std::size_t n, std::uint64_t seed) {
@@ -303,16 +306,6 @@ std::uint64_t fold_double(std::uint64_t h, double x) {
 }
 
 constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ull;
-
-/// Restores the dispatch tier a test changed.
-class TierGuard {
- public:
-  TierGuard() : saved_(simd::active_tier()) {}
-  ~TierGuard() { simd::set_active_tier(saved_); }
-
- private:
-  simd::Tier saved_;
-};
 
 /// Seeded batch of every query kind on a KERT-BN whose last node is D.
 /// Evidence shapes cycle through D alone, one, two and three services;

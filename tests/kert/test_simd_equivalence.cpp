@@ -22,28 +22,13 @@
 #include "kert/kert_builder.hpp"
 #include "kert/query_engine.hpp"
 #include "sosim/synthetic.hpp"
+#include "support/simd_tiers.hpp"
 
 namespace kertbn::core {
 namespace {
 
-class TierGuard {
- public:
-  TierGuard() : saved_(simd::active_tier()) {}
-  ~TierGuard() { simd::set_active_tier(saved_); }
-
- private:
-  simd::Tier saved_;
-};
-
-std::vector<simd::Tier> runnable_tiers() {
-  std::vector<simd::Tier> tiers;
-  for (simd::Tier want :
-       {simd::Tier::kScalar, simd::Tier::kAvx2, simd::Tier::kAvx512}) {
-    const simd::Tier got = simd::set_active_tier(want);
-    if (tiers.empty() || tiers.back() != got) tiers.push_back(got);
-  }
-  return tiers;
-}
+using test_support::runnable_tiers;
+using test_support::TierGuard;
 
 void expect_tier_close(const std::vector<double>& scalar,
                        const std::vector<double>& tiered, simd::Tier tier) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -330,6 +331,30 @@ TEST(ReconstructionOverload, AbortRollsBackToLastKnownGood) {
   EXPECT_EQ(manager.version(), 2u);
   EXPECT_EQ(manager.health(), core::ModelHealth::kFresh);
   EXPECT_EQ(manager.snapshot_slot().acquire()->version, 2u);
+}
+
+TEST(ReconstructionOverload, RolledBackRebuildServesIdenticalModelText) {
+  // The rollback stash is the serving network itself, moved out for the
+  // rebuild and moved back: the restored model must be byte-identical,
+  // D's bins^(n+1) table included.
+  sim::SyntheticEnvironment env = sim::make_ediamond_environment();
+  ov::CancellationSource cancel;
+  core::ModelManager::Config cfg = publishing_config();
+  cfg.bins = 4;
+  cfg.cancel = cancel.token().flag();
+  core::ModelManager manager(env.workflow(), env.sharing(), cfg);
+
+  Rng rng(53);
+  ASSERT_TRUE(manager.maybe_reconstruct(120.0, env.generate(36, rng)));
+  const std::string served = manager.export_model_text();
+  ASSERT_FALSE(served.empty());
+
+  cancel.request_cancel();
+  EXPECT_FALSE(manager.maybe_reconstruct(240.0, env.generate(36, rng)));
+  EXPECT_EQ(manager.aborted_reconstructions(), 1u);
+  ASSERT_TRUE(manager.has_model());
+  EXPECT_EQ(manager.export_model_text(), served);
+  EXPECT_EQ(manager.snapshot_slot().acquire()->version, 1u);
 }
 
 // -------------------------------------------------------- query deadlines
