@@ -19,7 +19,7 @@ std::size_t product(const std::vector<std::size_t>& xs) {
 
 }  // namespace
 
-TabularCpd::TabularCpd(std::size_t child_cardinality,
+TabularCpd::TabularCpd(Verbatim, std::size_t child_cardinality,
                        std::vector<std::size_t> parent_cardinalities,
                        std::vector<double> table)
     : child_card_(child_cardinality),
@@ -29,7 +29,31 @@ TabularCpd::TabularCpd(std::size_t child_cardinality,
   KERTBN_EXPECTS(child_card_ >= 2);
   for (std::size_t c : parent_cards_) KERTBN_EXPECTS(c >= 2);
   KERTBN_EXPECTS(table_.size() == configs_ * child_card_);
+}
+
+TabularCpd::TabularCpd(std::size_t child_cardinality,
+                       std::vector<std::size_t> parent_cardinalities,
+                       std::vector<double> table)
+    : TabularCpd(Verbatim{}, child_cardinality,
+                 std::move(parent_cardinalities), std::move(table)) {
   normalize_rows();
+}
+
+TabularCpd TabularCpd::from_distributions(
+    std::size_t child_cardinality,
+    std::vector<std::size_t> parent_cardinalities,
+    std::vector<double> table) {
+  TabularCpd cpd(Verbatim{}, child_cardinality,
+                 std::move(parent_cardinalities), std::move(table));
+  for (std::size_t cfg = 0; cfg < cpd.configs_; ++cfg) {
+    double sum = 0.0;
+    for (std::size_t s = 0; s < cpd.child_card_; ++s) {
+      KERTBN_EXPECTS(cpd.probability(cfg, s) >= 0.0);
+      sum += cpd.probability(cfg, s);
+    }
+    KERTBN_EXPECTS(std::abs(sum - 1.0) <= kRowSumTolerance);
+  }
+  return cpd;
 }
 
 TabularCpd TabularCpd::uniform(std::size_t child_cardinality,

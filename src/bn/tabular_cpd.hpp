@@ -26,6 +26,18 @@ class TabularCpd final : public Cpd {
   static TabularCpd uniform(std::size_t child_cardinality,
                             std::vector<std::size_t> parent_cardinalities);
 
+  /// How far from 1 a row passed to from_distributions may sum.
+  static constexpr double kRowSumTolerance = 1e-9;
+
+  /// A CPT holding \p table bit for bit: every row must already be a
+  /// distribution (entries >= 0, sum within kRowSumTolerance of 1) and is
+  /// not renormalized. Loaders use it, so a saved table reads back exactly
+  /// (renormalizing can move a row's entries by an ulp on every load).
+  static TabularCpd from_distributions(
+      std::size_t child_cardinality,
+      std::vector<std::size_t> parent_cardinalities,
+      std::vector<double> table);
+
   std::size_t child_cardinality() const { return child_card_; }
   const std::vector<std::size_t>& parent_cardinalities() const {
     return parent_cards_;
@@ -56,6 +68,12 @@ class TabularCpd final : public Cpd {
   }
 
  private:
+  struct Verbatim {};
+  /// Shape checks only; the table is kept as given.
+  TabularCpd(Verbatim, std::size_t child_cardinality,
+             std::vector<std::size_t> parent_cardinalities,
+             std::vector<double> table);
+
   std::size_t child_card_;
   std::vector<std::size_t> parent_cards_;
   std::size_t configs_;

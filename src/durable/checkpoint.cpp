@@ -6,11 +6,10 @@
 #include <algorithm>
 #include <cerrno>
 #include <filesystem>
-#include <fstream>
-#include <iomanip>
-#include <sstream>
+#include <string_view>
 
 #include "common/contract.hpp"
+#include "common/text_codec.hpp"
 #include "durable/crc32c.hpp"
 #include "obs/span.hpp"
 
@@ -19,8 +18,8 @@ namespace {
 
 namespace fs = std::filesystem;
 
-constexpr const char* kMagic = "kertbn-checkpoint";
-constexpr int kVersion = 1;
+constexpr std::string_view kMagic = "kertbn-checkpoint";
+constexpr std::size_t kVersion = 1;
 /// A corrupt length field must not turn into a giant allocation.
 constexpr std::size_t kMaxModelBytes = 1u << 26;
 constexpr std::size_t kMaxWindowValues = 10'000'000;
@@ -41,31 +40,22 @@ struct CheckpointMetrics {
 };
 
 std::string checkpoint_name(std::uint64_t journal_seq) {
-  std::ostringstream out;
-  out << "ckpt-" << std::hex;
-  out.width(16);
-  out.fill('0');
-  out << journal_seq << ".ck";
-  return out.str();
+  text::Writer out;
+  out << "ckpt-";
+  out.hex(journal_seq, 16) << ".ck";
+  return std::move(out.str());
 }
 
-/// The CRC footer covers every byte of the body (through "end\n").
-std::string footer_for(const std::string& body) {
-  std::ostringstream out;
-  out << "crc " << std::hex;
-  out.width(8);
-  out.fill('0');
-  out << mask_crc(crc32c(body)) << '\n';
-  return out.str();
-}
-
+/// Body then CRC footer: the footer "crc <8 hex>\n" covers every byte of
+/// the body (through "end\n").
 std::string serialize(const Checkpoint& ckpt) {
-  std::ostringstream out;
-  out << std::setprecision(17);
+  const sim::ServerState& s = ckpt.server;
+  text::Writer out;
+  out.reserve(256 + 25 * (s.window.size() + s.last_seen.size()) +
+              ckpt.manager.model_text.size());
   out << kMagic << ' ' << kVersion << '\n';
   out << "seq " << ckpt.journal_seq << '\n';
   out << "now " << ckpt.sim_now << '\n';
-  const sim::ServerState& s = ckpt.server;
   out << "server " << s.rows << ' ' << s.cols << '\n';
   for (std::size_t r = 0; r < s.rows; ++r) {
     out << "row";
@@ -92,34 +82,35 @@ std::string serialize(const Checkpoint& ckpt) {
   out << "model " << ckpt.manager.model_text.size() << '\n';
   out << ckpt.manager.model_text;
   out << "end\n";
-  return out.str();
+  const std::uint32_t crc = mask_crc(crc32c(out.str()));
+  out << "crc ";
+  out.hex(crc, 8) << '\n';
+  return std::move(out.str());
 }
 
-/// Fallible parser mirroring serialize(). Any mismatch → nullopt.
-std::optional<Checkpoint> parse(const std::string& text, std::string* error) {
+/// Fallible parser mirroring serialize()'s body. Any mismatch → nullopt.
+std::optional<Checkpoint> parse(std::string_view body, std::string* error) {
   const auto fail = [&](const char* what) -> std::optional<Checkpoint> {
     if (error != nullptr) *error = what;
     return std::nullopt;
   };
 
-  std::istringstream in(text);
-  std::string keyword;
-  int version = 0;
-  if (!(in >> keyword >> version) || keyword != kMagic ||
-      version != kVersion) {
+  text::Cursor in(body);
+  std::size_t version = 0;
+  if (in.token() != kMagic || !in.count(version) || version != kVersion) {
     return fail("bad checkpoint header");
   }
 
   Checkpoint ckpt;
-  if (!(in >> keyword >> ckpt.journal_seq) || keyword != "seq") {
+  if (in.token() != "seq" || !in.count(ckpt.journal_seq)) {
     return fail("bad seq line");
   }
-  if (!(in >> keyword >> ckpt.sim_now) || keyword != "now") {
+  if (in.token() != "now" || !in.number(ckpt.sim_now)) {
     return fail("bad now line");
   }
 
   sim::ServerState& s = ckpt.server;
-  if (!(in >> keyword >> s.rows >> s.cols) || keyword != "server") {
+  if (in.token() != "server" || !in.count(s.rows) || !in.count(s.cols)) {
     return fail("bad server line");
   }
   if (s.cols == 0 || s.rows > kMaxWindowValues ||
@@ -128,55 +119,51 @@ std::optional<Checkpoint> parse(const std::string& text, std::string* error) {
   }
   s.window.resize(s.rows * s.cols);
   for (std::size_t r = 0; r < s.rows; ++r) {
-    if (!(in >> keyword) || keyword != "row") return fail("bad row line");
+    if (in.token() != "row") return fail("bad row line");
     for (std::size_t c = 0; c < s.cols; ++c) {
-      if (!(in >> s.window[r * s.cols + c])) return fail("bad row value");
+      if (!in.number(s.window[r * s.cols + c])) return fail("bad row value");
     }
   }
 
   std::size_t n_seen = 0;
-  if (!(in >> keyword >> n_seen) || keyword != "seen" ||
+  if (in.token() != "seen" || !in.count(n_seen) ||
       n_seen > kMaxWindowValues) {
     return fail("bad seen line");
   }
   s.last_seen.resize(n_seen);
   for (std::size_t i = 0; i < n_seen; ++i) {
-    std::string token;
-    if (!(in >> token)) return fail("bad seen value");
+    const std::string_view token = in.token();
+    double v = 0.0;
     if (token == "-") {
       s.last_seen[i] = std::nullopt;
-    } else {
-      std::istringstream num(token);
-      double v = 0.0;
-      if (!(num >> v)) return fail("bad seen value");
+    } else if (text::parse_number(token, v)) {
       s.last_seen[i] = v;
+    } else {
+      return fail("bad seen value");
     }
   }
 
-  if (!(in >> keyword >> s.total_points >> s.dropped_intervals >>
-        s.quarantined_values >> s.duplicate_values >>
-        s.consecutive_missed_intervals) ||
-      keyword != "counters") {
+  if (in.token() != "counters" || !in.count(s.total_points) ||
+      !in.count(s.dropped_intervals) || !in.count(s.quarantined_values) ||
+      !in.count(s.duplicate_values) ||
+      !in.count(s.consecutive_missed_intervals)) {
     return fail("bad counters line");
   }
-  if (!(in >> keyword >> ckpt.manager.next_due >> ckpt.manager.version) ||
-      keyword != "manager") {
+  if (in.token() != "manager" || !in.number(ckpt.manager.next_due) ||
+      !in.count(ckpt.manager.version)) {
     return fail("bad manager line");
   }
 
   std::size_t model_bytes = 0;
-  if (!(in >> keyword >> model_bytes) || keyword != "model" ||
-      model_bytes > kMaxModelBytes) {
+  if (in.token() != "model" || !in.count(model_bytes) ||
+      model_bytes > kMaxModelBytes || !in.rest_of_line().empty()) {
     return fail("bad model frame");
   }
-  in.get();  // Consume the newline ending the "model <n>" line.
-  ckpt.manager.model_text.resize(model_bytes);
-  if (model_bytes > 0 &&
-      !in.read(ckpt.manager.model_text.data(),
-               static_cast<std::streamsize>(model_bytes))) {
-    return fail("model text cut short");
-  }
-  if (!(in >> keyword) || keyword != "end") return fail("missing end");
+  const std::optional<std::string_view> model = in.bytes(model_bytes);
+  if (!model.has_value()) return fail("model text cut short");
+  ckpt.manager.model_text = *model;
+  if (in.token() != "end") return fail("missing end");
+  if (!in.at_end()) return fail("bytes after end");
   return ckpt;
 }
 
@@ -184,31 +171,26 @@ std::optional<Checkpoint> parse(const std::string& text, std::string* error) {
 
 std::optional<Checkpoint> load_checkpoint_file(const std::string& path,
                                                std::string* error) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
+  const std::optional<std::string> data = text::read_file(path);
+  if (!data.has_value()) {
     if (error != nullptr) *error = "cannot open checkpoint file";
     return std::nullopt;
   }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  std::string data = buf.str();
 
   // Split the CRC footer off the body: the last line is "crc <8 hex>".
-  const std::size_t footer_at = data.rfind("crc ");
+  const std::size_t footer_at = data->rfind("crc ");
   if (footer_at == std::string::npos ||
-      (footer_at != 0 && data[footer_at - 1] != '\n')) {
+      (footer_at != 0 && (*data)[footer_at - 1] != '\n')) {
     if (error != nullptr) *error = "missing crc footer";
     return std::nullopt;
   }
+  const std::string_view body(data->data(), footer_at);
+  text::Cursor footer(std::string_view(*data).substr(footer_at + 4));
   std::uint32_t stored = 0;
-  {
-    std::istringstream footer(data.substr(footer_at + 4));
-    if (!(footer >> std::hex >> stored)) {
-      if (error != nullptr) *error = "unparsable crc footer";
-      return std::nullopt;
-    }
+  if (!text::parse_count(footer.token(), stored, 16) || !footer.at_end()) {
+    if (error != nullptr) *error = "unparsable crc footer";
+    return std::nullopt;
   }
-  const std::string body = data.substr(0, footer_at);
   if (mask_crc(crc32c(body)) != stored) {
     if (error != nullptr) *error = "checkpoint crc mismatch";
     return std::nullopt;
@@ -239,8 +221,7 @@ std::vector<std::string> CheckpointStore::files() const {
 
 void CheckpointStore::write(const Checkpoint& ckpt) {
   KERTBN_SPAN_VAR(span, "durable.checkpoint");
-  const std::string body = serialize(ckpt);
-  const std::string payload = body + footer_for(body);
+  const std::string payload = serialize(ckpt);
 
   const fs::path final_path =
       fs::path(config_.dir) / checkpoint_name(ckpt.journal_seq);
@@ -311,6 +292,7 @@ void CheckpointStore::write(const Checkpoint& ckpt) {
 
 std::optional<Checkpoint> CheckpointStore::load_newest(
     std::string* error) const {
+  KERTBN_SPAN("durable.checkpoint.load");
   std::vector<std::string> all = files();
   std::string first_error;
   // Newest first; a damaged file falls through to its predecessor.

@@ -8,9 +8,10 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
+#include <optional>
 
 #include "common/contract.hpp"
+#include "common/text_codec.hpp"
 #include "durable/crc32c.hpp"
 #include "fault/fault_injector.hpp"
 #include "obs/span.hpp"
@@ -70,12 +71,10 @@ std::uint64_t get_u64(const char* p) {
 }
 
 std::string segment_name(std::uint64_t first_seq) {
-  std::ostringstream out;
-  out << "journal-" << std::hex;
-  out.width(16);
-  out.fill('0');
-  out << first_seq << ".seg";
-  return out.str();
+  text::Writer out;
+  out << "journal-";
+  out.hex(first_seq, 16) << ".seg";
+  return std::move(out.str());
 }
 
 /// CRC input is seq ‖ payload so a record copied to the wrong position
@@ -103,15 +102,12 @@ void fsync_dir(const std::string& dir) {
 void replay_segment(
     const std::string& path, std::uint64_t after_seq, ReplayStats& stats,
     const std::function<void(std::uint64_t, std::string_view)>& fn) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
+  const std::optional<std::string> file = text::read_file(path);
+  if (!file.has_value()) {
     ++stats.bad_segments;
     return;
   }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  const std::string data = buf.str();
-
+  const std::string& data = *file;
   if (data.size() < kSegmentHeaderBytes ||
       std::memcmp(data.data(), kSegmentMagic, sizeof(kSegmentMagic)) != 0) {
     ++stats.bad_segments;

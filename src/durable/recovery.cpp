@@ -1,10 +1,8 @@
 #include "durable/recovery.hpp"
 
 #include <charconv>
-#include <cmath>
-#include <iomanip>
-#include <sstream>
 
+#include "common/text_codec.hpp"
 #include "obs/span.hpp"
 
 namespace kertbn::durable {
@@ -84,38 +82,36 @@ void encode_ingest_into(std::string& out,
 std::string encode_missed() { return "miss"; }
 
 bool decode_event(std::string_view payload, IngestEvent& out) {
-  std::istringstream in{std::string(payload)};
-  std::string keyword;
-  if (!(in >> keyword)) return false;
+  text::Cursor in(payload);
+  const std::string_view keyword = in.token();
   if (keyword == "miss") {
     out.missed = true;
     out.reports.clear();
     out.response_mean = 0.0;
-    return true;
+    return in.at_end();
   }
   if (keyword != "ingest") return false;
   out.missed = false;
   std::size_t n_reports = 0;
-  if (!(in >> out.response_mean >> n_reports)) return false;
+  if (!in.number(out.response_mean) || !in.count(n_reports)) return false;
   if (n_reports > kMaxReports) return false;
   out.reports.clear();
   out.reports.reserve(n_reports);
   for (std::size_t r = 0; r < n_reports; ++r) {
     sim::AgentReport report;
     std::size_t n_services = 0;
-    if (!(in >> keyword >> report.agent >> n_services) ||
-        keyword != "agent" || n_services > kMaxServicesPerReport) {
+    if (in.token() != "agent" || !in.count(report.agent) ||
+        !in.count(n_services) || n_services > kMaxServicesPerReport) {
       return false;
     }
     report.service_means.resize(n_services);
     for (auto& [service, mean] : report.service_means) {
-      if (!(in >> service >> mean)) return false;
+      if (!in.count(service) || !in.number(mean)) return false;
     }
     out.reports.push_back(std::move(report));
   }
   // Trailing garbage means the payload is not what we encoded.
-  if (in >> keyword) return false;
-  return true;
+  return in.at_end();
 }
 
 void ServerJournal::attach(sim::ManagementServer& server) {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 #include <utility>
 
 #include "common/contract.hpp"
@@ -531,14 +530,11 @@ const bn::BayesianNetwork& ModelManager::model() const {
 
 std::string ModelManager::export_model_text() const {
   if (!model_.has_value()) return {};
-  std::ostringstream out;
   if (discretizer_.has_value()) {
-    save_kert_discrete(out, workflow_, sharing_, *discretizer_,
-                       config_.leak_l, *model_);
-  } else {
-    save_kert_continuous(out, workflow_, sharing_, *model_);
+    return save_discrete_to_string(workflow_, sharing_, *discretizer_,
+                                   config_.leak_l, *model_);
   }
-  return out.str();
+  return save_to_string(workflow_, sharing_, *model_);
 }
 
 ManagerCheckpoint ModelManager::export_checkpoint() const {
@@ -561,7 +557,10 @@ bool ModelManager::restore_from_checkpoint(const ManagerCheckpoint& ckpt,
   last_missed_due_ = -1.0;
   if (ckpt.model_text.empty()) return true;
 
-  LoadResult loaded = try_load_from_string(ckpt.model_text);
+  LoadResult loaded = [&] {
+    KERTBN_SPAN("kert.model.parse");
+    return try_load_from_string(ckpt.model_text);
+  }();
   const bool compatible =
       loaded.has_value() &&
       loaded->workflow.service_count() == workflow_.service_count() &&

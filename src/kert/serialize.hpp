@@ -6,14 +6,17 @@
 /// load the knowledge-given response CPD is rebuilt from the workflow, so
 /// the file never needs to encode executable functions.
 ///
-/// The format is line-oriented UTF-8 text (17-significant-digit doubles:
-/// save/load round-trips are exact). Intended uses: shipping a model from
-/// the management server to autonomic components, snapshotting model
-/// history, and offline analysis.
+/// The format is line-oriented UTF-8 text in the number language of
+/// common/text_codec.hpp (17-significant-digit doubles: save/load
+/// round-trips are exact). Intended uses: shipping a model from the
+/// management server to autonomic components, snapshotting model history,
+/// and offline analysis. The stream overloads are thin wrappers over the
+/// string forms: they read or write the whole text in one piece.
 
 #include <iosfwd>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "bn/network.hpp"
 #include "common/contract.hpp"
@@ -94,16 +97,22 @@ class LoadResult {
 
 /// Fallible load of either flavor: every malformed-input case the aborting
 /// loader treats as a contract violation (bad magic, truncated stream,
-/// inconsistent counts, invalid CPD parameters, unparsable workflow tree)
-/// is returned as a LoadError instead.
+/// inconsistent counts, a token outside the number language, invalid CPD
+/// parameters, unparsable workflow tree, indices naming no service) is
+/// returned as a LoadError instead.
 LoadResult try_load_kert_model(std::istream& in);
-LoadResult try_load_from_string(const std::string& text);
+LoadResult try_load_from_string(std::string_view text);
 
-/// Convenience string round-trips.
+/// The text save_kert_continuous / save_kert_discrete write.
 std::string save_to_string(const wf::Workflow& workflow,
                            const wf::ResourceSharing& sharing,
                            const bn::BayesianNetwork& net);
-SavedModel load_from_string(const std::string& text);
+std::string save_discrete_to_string(const wf::Workflow& workflow,
+                                    const wf::ResourceSharing& sharing,
+                                    const DatasetDiscretizer& discretizer,
+                                    double leak_l,
+                                    const bn::BayesianNetwork& net);
+SavedModel load_from_string(std::string_view text);
 
 /// Serializes an arbitrary fully-parameterized network — e.g. a learned
 /// NRT-BN — without any knowledge blocks: variables, structure, and every
@@ -117,6 +126,6 @@ bn::BayesianNetwork load_network(std::istream& in);
 
 /// Convenience string round-trips for save_network/load_network.
 std::string network_to_string(const bn::BayesianNetwork& net);
-bn::BayesianNetwork network_from_string(const std::string& text);
+bn::BayesianNetwork network_from_string(std::string_view text);
 
 }  // namespace kertbn::core

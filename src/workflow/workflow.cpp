@@ -183,16 +183,6 @@ std::vector<double> Node::marginal_branch_probs() const {
   return q;
 }
 
-Workflow::Workflow(std::vector<std::string> service_names, Node::Ptr root)
-    : names_(std::move(service_names)), root_(std::move(root)) {
-  KERTBN_EXPECTS(root_ != nullptr);
-  // Every referenced service must exist in the registry.
-  const auto refs = response_time_expr()->referenced_services();
-  for (std::size_t s : refs) {
-    KERTBN_EXPECTS(s < names_.size());
-  }
-}
-
 namespace {
 
 Expr::Ptr reduce_time(const Node& node) {
@@ -314,7 +304,15 @@ void collect_services(const Node& node, std::set<std::size_t>& out) {
 
 }  // namespace
 
-Expr::Ptr Workflow::response_time_expr() const { return reduce_time(*root_); }
+Workflow::Workflow(std::vector<std::string> service_names, Node::Ptr root)
+    : names_(std::move(service_names)), root_(std::move(root)) {
+  KERTBN_EXPECTS(root_ != nullptr);
+  response_expr_ = reduce_time(*root_);
+  // Every referenced service must exist in the registry.
+  for (std::size_t s : response_expr_->referenced_services()) {
+    KERTBN_EXPECTS(s < names_.size());
+  }
+}
 
 Expr::Ptr Workflow::count_expr() const {
   std::set<std::size_t> services;

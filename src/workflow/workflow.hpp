@@ -106,8 +106,9 @@ class Workflow {
   const Node::Ptr& root() const { return root_; }
 
   /// Cardoso reduction of the tree to the deterministic response-time
-  /// function f(X) of Equation 4.
-  Expr::Ptr response_time_expr() const;
+  /// function f(X) of Equation 4, reduced once at construction. The tree
+  /// is immutable, so copies of the workflow share it.
+  const Expr::Ptr& response_time_expr() const { return response_expr_; }
 
   /// Count-metric reduction (e.g. timeout request count): D = Σᵢ Xᵢ over
   /// the services the workflow touches.
@@ -128,6 +129,7 @@ class Workflow {
  private:
   std::vector<std::string> names_;
   Node::Ptr root_;
+  Expr::Ptr response_expr_;
 };
 
 }  // namespace kertbn::wf

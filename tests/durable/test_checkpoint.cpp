@@ -6,8 +6,10 @@
 #include <string>
 
 #include "common/rng.hpp"
+#include "common/text_codec.hpp"
 #include "fault/file_damage.hpp"
 #include "sosim/synthetic.hpp"
+#include "support/fnv1a.hpp"
 
 namespace kertbn::durable {
 namespace {
@@ -232,6 +234,26 @@ TEST(Checkpoint, ManagerRestoreRejectsCorruptModelTextGracefully) {
   // The schedule still recovered; only the model was refused.
   EXPECT_EQ(fresh.next_due(), manager.next_due());
   EXPECT_EQ(fresh.version(), manager.version());
+}
+
+// Checkpoint files outlive the process that wrote them, so their bytes
+// are a format: this pins the file name and every byte of one written
+// checkpoint (populated server, continuous model, non-integral time).
+TEST(Checkpoint, WrittenFileBytesArePinned) {
+  const fs::path dir = fresh_dir("ckpt_pinned");
+  const sim::ManagementServer server = make_populated_server();
+  core::ModelManager manager = make_manager_with_model(31);
+  CheckpointStore store(CheckpointStore::Config{dir.string()});
+  store.write(capture_checkpoint(server, manager, 1.0 / 3.0, 0x1234abcd));
+
+  const std::vector<std::string> files = store.files();
+  ASSERT_EQ(files.size(), 1u);
+  EXPECT_EQ(fs::path(files[0]).filename().string(),
+            "ckpt-000000001234abcd.ck");
+  const std::optional<std::string> bytes = text::read_file(files[0]);
+  ASSERT_TRUE(bytes.has_value());
+  const std::uint64_t h = test_support::fnv1a(*bytes);
+  EXPECT_EQ(h, 0x5d1e0d0e9516fa2aull) << std::hex << "hash 0x" << h;
 }
 
 }  // namespace

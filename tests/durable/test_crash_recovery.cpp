@@ -9,7 +9,9 @@
 #include "durable/recovery.hpp"
 #include "fault/fault_injector.hpp"
 #include "kert/model_manager.hpp"
+#include "common/text_codec.hpp"
 #include "sosim/testbed.hpp"
+#include "support/fnv1a.hpp"
 #include "workflow/ediamond.hpp"
 
 namespace kertbn::durable {
@@ -302,6 +304,31 @@ TEST(CrashRecovery, StalenessIsRestoredNotReset) {
   RecoveryManager(dir.string()).recover(tb.server_mutable(), nullptr,
                                         tb.now());
   EXPECT_EQ(tb.server().consecutive_missed_intervals(), staleness);
+}
+
+/// Journal segments are a format: this pins the segment names and every
+/// byte a journaled testbed run writes (ingests and misses).
+TEST(CrashRecovery, JournalSegmentBytesArePinned) {
+  const fs::path dir = fresh_dir("crash_pinned");
+  {
+    sim::MonitoredTestbed tb =
+        sim::make_monitored_ediamond(kArrival, kSeed, kSchedule);
+    ServerJournal journal{JournalConfig{dir.string(), 4096}};
+    journal.attach(tb.server_mutable());
+    for (std::size_t i = 0; i < 24; ++i) tb.advance_interval();
+    tb.server_mutable().note_missed_interval();
+    ServerJournal::detach(tb.server_mutable());
+  }
+  std::uint64_t h = test_support::kFnvOffset;
+  const std::vector<std::string> segments = journal_segments(dir.string());
+  ASSERT_GE(segments.size(), 2u);
+  for (const std::string& path : segments) {
+    h = test_support::fnv1a(fs::path(path).filename().string(), h);
+    const std::optional<std::string> bytes = text::read_file(path);
+    ASSERT_TRUE(bytes.has_value());
+    h = test_support::fnv1a(*bytes, h);
+  }
+  EXPECT_EQ(h, 0x4d8be0b3b6f65f9full) << std::hex << "hash 0x" << h;
 }
 
 }  // namespace

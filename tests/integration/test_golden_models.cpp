@@ -106,9 +106,8 @@ TEST(GoldenModels, EdiamondKertDiscrete) {
                      result.net);
   check_golden("ediamond_kert_discrete.golden", out.str());
 
-  // Round trip: loading re-normalizes every CPT row (TabularCpd's
-  // invariant), so bytes may shift in the last ulp — compare the
-  // distributions themselves instead.
+  // Round trip: loading keeps every CPT row as written, so the loaded
+  // tables are the built ones bit for bit and the re-save is the same text.
   std::istringstream in(out.str());
   const SavedModel loaded = load_kert_model(in);
   ASSERT_TRUE(loaded.discretizer.has_value());
@@ -119,10 +118,14 @@ TEST(GoldenModels, EdiamondKertDiscrete) {
     ASSERT_EQ(a.config_count(), b.config_count());
     for (std::size_t cfg = 0; cfg < a.config_count(); ++cfg) {
       for (std::size_t s = 0; s < a.child_cardinality(); ++s) {
-        EXPECT_DOUBLE_EQ(a.probability(cfg, s), b.probability(cfg, s));
+        EXPECT_EQ(a.probability(cfg, s), b.probability(cfg, s));
       }
     }
   }
+  EXPECT_EQ(save_discrete_to_string(loaded.workflow, loaded.sharing,
+                                    *loaded.discretizer, loaded.leak,
+                                    loaded.net),
+            out.str());
 }
 
 TEST(GoldenModels, EdiamondNrtBaseline) {

@@ -9,7 +9,9 @@
 #include "bn/discrete_inference.hpp"
 #include "common/rng.hpp"
 #include "kert/kert_builder.hpp"
+#include "kert/model_manager.hpp"
 #include "sosim/synthetic.hpp"
+#include "support/fnv1a.hpp"
 
 namespace kertbn::core {
 namespace {
@@ -220,8 +222,52 @@ TEST(ModelSerialize, TryLoadReportsErrorsWithoutAborting) {
   ASSERT_NE(at, std::string::npos);
   bad_kind.replace(at, 8, "wibbleee");
   EXPECT_FALSE(try_load_from_string(bad_kind).has_value());
+  // A repeated service-name index ("name 0" where "name 1" belongs) would
+  // leave a service unnamed.
+  const LoadResult repeated =
+      try_load_from_string(replace_line(text, "name 1 ", "name 0 svc"));
+  ASSERT_FALSE(repeated.has_value());
+  EXPECT_EQ(repeated.error().message, "service name index repeated");
+  // A sharing group naming service 99 of 6.
+  const LoadResult unknown =
+      try_load_from_string(replace_line(text, "group ", "group g 2 0 99"));
+  ASSERT_FALSE(unknown.has_value());
+  EXPECT_EQ(unknown.error().message,
+            "sharing group names an unknown service");
+  // D's parents must be the services in order: its function indexes them.
+  std::string moved_edge = text;
+  const std::size_t edge = moved_edge.find("\nedge 0 6\n");
+  ASSERT_NE(edge, std::string::npos);
+  moved_edge.replace(edge, 10, "\nedge 0 5\n");
+  EXPECT_FALSE(try_load_from_string(moved_edge).has_value());
   // The original still loads — the mutations above were the problem.
   EXPECT_TRUE(try_load_from_string(text).has_value());
+}
+
+// The model text is a durable format: checkpoints carry it and a restarted
+// server parses it. These hashes pin the bytes ModelManager exports for
+// eDiaMoND models (continuous, 3 and 4 bins) over several windows, so a
+// rewrite of the writer must reproduce every byte.
+TEST(ModelSerialize, ExportedModelTextIsPinned) {
+  sim::SyntheticEnvironment env = sim::make_ediamond_environment();
+  const std::size_t bin_counts[] = {0, 3, 4};
+  const std::uint64_t expected[] = {
+      0x2bc9d619ca6ef5b3ull, 0x28f3f1fcddb84f6full, 0x412bb919cecdc951ull};
+  for (std::size_t k = 0; k < 3; ++k) {
+    std::uint64_t h = test_support::kFnvOffset;
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      ModelManager::Config config;
+      config.bins = bin_counts[k];
+      ModelManager manager(env.workflow(), env.sharing(), config);
+      kertbn::Rng rng(seed);
+      manager.reconstruct(60.0, env.generate(60, rng));
+      const std::string text = manager.export_model_text();
+      ASSERT_FALSE(text.empty());
+      h = test_support::fnv1a(text, h);
+    }
+    EXPECT_EQ(h, expected[k])
+        << "bins " << bin_counts[k] << std::hex << " hash 0x" << h;
+  }
 }
 
 }  // namespace

@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+
+#include "durable/checkpoint.hpp"
+#include "durable/recovery.hpp"
 #include "kert/model_manager.hpp"
 #include "obs_test_util.hpp"
 #include "sosim/synthetic.hpp"
@@ -129,6 +133,63 @@ TEST(TelemetryReconcile, IncrementalDiscreteTracksHitsAndRefits) {
   // D's CPT is materialized once per discretizer version: by the rebuild
   // that refits, and reused by every incremental rebuild after it.
   EXPECT_EQ(sink->spans_named("kert.response_cpt").size(), refits);
+}
+
+// A restart's set-up shows by phase: one recovery holds exactly one
+// checkpoint load, one model parse, one journal replay and one snapshot
+// build, each a direct child of durable.recover.
+TEST(TelemetryReconcile, RecoverySplitsIntoChildSpans) {
+  namespace fs = std::filesystem;
+  const fs::path dir =
+      fs::path(testing::TempDir()) / "kertbn_recovery_child_spans";
+  fs::remove_all(dir);
+  sim::SyntheticEnvironment env = sim::make_ediamond_environment();
+  ModelManager::Config cfg;
+  cfg.bins = 3;
+  cfg.publish_snapshots = true;
+  Rng rng(13);
+  {
+    sim::ManagementServer server(env.workflow().service_names(),
+                                 cfg.schedule);
+    ModelManager manager(env.workflow(), env.sharing(), cfg);
+    manager.reconstruct(60.0, env.generate(60, rng));
+    durable::ServerJournal journal{durable::JournalConfig{dir.string()}};
+    journal.attach(server);
+    durable::CheckpointStore store({dir.string()});
+    const bn::Dataset rows = env.generate(4, rng);
+    for (std::size_t r = 0; r < rows.rows(); ++r) {
+      sim::AgentReport report;
+      for (std::size_t s = 0; s + 1 < rows.cols(); ++s) {
+        report.service_means.push_back({s, rows.value(r, s)});
+      }
+      server.ingest_interval({report}, rows.value(r, rows.cols() - 1));
+      if (r == 1) {
+        store.write(durable::capture_checkpoint(server, manager, 70.0,
+                                                journal.last_seq()));
+      }
+    }
+    durable::ServerJournal::detach(server);
+  }
+
+  auto sink = std::make_shared<CollectingSink>();
+  ScopedSink scoped(sink);
+  sim::ManagementServer server(env.workflow().service_names(), cfg.schedule);
+  ModelManager manager(env.workflow(), env.sharing(), cfg);
+  const durable::RecoveryReport report =
+      durable::RecoveryManager(dir.string()).recover(server, &manager, 80.0);
+  EXPECT_TRUE(report.model_restored);
+  EXPECT_EQ(report.replayed_ingests, 2u);
+
+  const auto recover = sink->spans_named("durable.recover");
+  ASSERT_EQ(recover.size(), 1u);
+  for (const char* phase : {"durable.checkpoint.load", "kert.model.parse",
+                            "durable.replay", "kert.snapshot.build"}) {
+    const auto spans = sink->spans_named(phase);
+    ASSERT_EQ(spans.size(), 1u) << phase;
+    EXPECT_EQ(spans[0].parent_id, recover[0].span_id) << phase;
+    EXPECT_LE(spans[0].duration_ns, recover[0].duration_ns) << phase;
+  }
+  fs::remove_all(dir);
 }
 
 #endif  // KERTBN_OBS_DISABLED

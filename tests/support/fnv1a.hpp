@@ -1,0 +1,23 @@
+#pragma once
+/// \file fnv1a.hpp
+/// FNV-1a over bytes, for suites that pin the exact bytes of a durable
+/// format (model text, checkpoint files, journal segments).
+
+#include <cstdint>
+#include <string_view>
+
+namespace kertbn::test_support {
+
+inline constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ull;
+
+/// FNV-1a over \p bytes, continuing from \p h.
+inline std::uint64_t fnv1a(std::string_view bytes,
+                           std::uint64_t h = kFnvOffset) {
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+}  // namespace kertbn::test_support

@@ -23,6 +23,21 @@ TEST(Workflow, SequenceReducesToSum) {
   EXPECT_TRUE(expr->is_linear());
 }
 
+// The reduction is computed once, at construction: every call returns the
+// same tree, so a reference taken from a call outlives the statement.
+TEST(Workflow, ResponseTimeExprIsReducedOnceAndOutlivesTheCall) {
+  Workflow w({"s0", "s1", "s2"},
+             Node::sequence({Node::activity(0),
+                             Node::parallel({Node::activity(1),
+                                             Node::activity(2)})}));
+  EXPECT_EQ(w.response_time_expr().get(), w.response_time_expr().get());
+  const Workflow copy = w;
+  EXPECT_EQ(copy.response_time_expr().get(), w.response_time_expr().get());
+  const Expr& e = *w.response_time_expr();
+  const double times[] = {1.0, 4.0, 2.5};
+  EXPECT_DOUBLE_EQ(e.evaluate(times), 5.0);
+}
+
 TEST(Workflow, ParallelReducesToMax) {
   Workflow w({"s0", "s1"},
              Node::parallel({Node::activity(0), Node::activity(1)}));
