@@ -8,17 +8,21 @@
 ///   * batch   — QueryEngine batch throughput and p99 latency at 1/2/4/8
 ///     pool threads against a published eDiaMoND snapshot,
 ///   * mixed   — batch serving while a ModelManager concurrently rebuilds
-///     and hot-swaps snapshots underneath the readers.
+///     and hot-swaps snapshots underneath the readers,
+///   * snapshot — publishing one rebuilt eDiaMoND model (make_model_snapshot)
+///     at 3 and 4 bins, against the legacy Factor fold of its families.
 ///
 /// Scaling across threads is hardware-dependent: on a single-core host the
 /// 2/4/8-thread rows measure scheduling overhead, not speedup (EXPERIMENTS
 /// records the host used for the committed JSON).
 
+#include <algorithm>
 #include <atomic>
 #include <optional>
 #include <thread>
 
 #include "bench_common.hpp"
+#include "bn/factor.hpp"
 #include "bn/junction_tree.hpp"
 #include "bn/tabular_cpd.hpp"
 #include "common/cpu_features.hpp"
@@ -303,6 +307,78 @@ void BM_MixedServing(benchmark::State& state) {
                     double(queries) / total_s});
 }
 
+/// The legacy Factor fold of every family of \p net in node order, each
+/// family copied entry by entry out of its CPT: how clique potentials were
+/// built before they moved onto the flat kernels. On a one-clique network
+/// (the eDiaMoND KERT-BN) it is the clique's whole potential.
+bn::Factor legacy_family_fold(const bn::BayesianNetwork& net) {
+  bn::Factor base = bn::Factor::unit();
+  for (std::size_t v = 0; v < net.size(); ++v) {
+    const auto& cpt = static_cast<const bn::TabularCpd&>(net.cpd(v));
+    const auto pars = net.dag().parents(v);
+    std::vector<std::size_t> scope(pars.begin(), pars.end());
+    scope.push_back(v);
+    std::vector<std::size_t> cards = cpt.parent_cardinalities();
+    cards.push_back(cpt.child_cardinality());
+    std::vector<double> values;
+    values.reserve(cpt.config_count() * cpt.child_cardinality());
+    for (std::size_t cfg = 0; cfg < cpt.config_count(); ++cfg) {
+      for (std::size_t s = 0; s < cpt.child_cardinality(); ++s) {
+        values.push_back(cpt.probability(cfg, s));
+      }
+    }
+    base = base.product(
+        bn::Factor(std::move(scope), std::move(cards), std::move(values)));
+  }
+  return base;
+}
+
+double median(std::vector<double> xs) {
+  std::sort(xs.begin(), xs.end());
+  return xs[xs.size() / 2];
+}
+
+/// Scenario D: publishing a rebuilt eDiaMoND model — make_model_snapshot
+/// copies the model, builds and warms its junction tree and reads the prior
+/// moments — on a 36-row window at 3 and 4 bins (range(0)). `snapshot_us`
+/// depends on the host; `snapshot_to_legacy_fold` divides it by the legacy
+/// Factor fold of the same families, timed alternately in the same process,
+/// and is what perf_smoke.sh guards. A snapshot build that still ran that
+/// fold would read above 1.
+void BM_SnapshotBuild(benchmark::State& state) {
+  const auto bins = static_cast<std::size_t>(state.range(0));
+  sim::SyntheticEnvironment env = sim::make_ediamond_environment();
+  Rng rng = bench::data_rng(6, 0, 55);
+  const bn::Dataset window = env.generate(36, rng);
+  const core::DatasetDiscretizer disc(window, bins);
+  const auto kert = core::construct_kert_discrete(
+      env.workflow(), env.sharing(), disc, disc.discretize(window));
+
+  constexpr std::size_t kReps = 41;
+  std::vector<double> snapshot_us;
+  std::vector<double> fold_us;
+  for (auto _ : state) {
+    for (std::size_t rep = 0; rep < kReps; ++rep) {
+      Stopwatch snapshot_timer;
+      auto snapshot = core::make_model_snapshot(1, 0.0, kert.net, disc);
+      snapshot_us.push_back(snapshot_timer.millis() * 1000.0);
+      Stopwatch fold_timer;
+      const bn::Factor fold = legacy_family_fold(kert.net);
+      fold_us.push_back(fold_timer.millis() * 1000.0);
+      benchmark::DoNotOptimize(snapshot.get());
+      benchmark::DoNotOptimize(fold.values().data());
+    }
+  }
+  const double snap = median(snapshot_us);
+  const double fold = median(fold_us);
+  state.counters["snapshot_us"] = snap;
+  state.counters["legacy_fold_us"] = fold;
+  state.counters["snapshot_to_legacy_fold"] = snap / fold;
+  series().add_row({std::string("snapshot/us"), double(bins), snap});
+  series().add_row(
+      {std::string("snapshot/to_legacy_fold"), double(bins), snap / fold});
+}
+
 }  // namespace
 
 BENCHMARK(BM_RecalibrationSpeedup)
@@ -316,5 +392,8 @@ BENCHMARK(BM_BatchThroughput)
     ->Iterations(3)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_MixedServing)
     ->Iterations(2)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SnapshotBuild)
+    ->Arg(3)->Arg(4)
+    ->Iterations(1)->Unit(benchmark::kMillisecond);
 
 BENCHMARK_MAIN();

@@ -21,7 +21,12 @@
 #      governors, health ladder) over the identical tenant driven solo
 #      stays <= 2x (soft: single-iteration sweeps jitter on shared hosts),
 #      and p99 model staleness stays <= 3 x alpha_model ticks at every
-#      size, 1024 tenants included.
+#      size, 1024 tenants included;
+#   6. snapshot publication — BM_SnapshotBuild at 3 and 4 bins:
+#      make_model_snapshot on a rebuilt eDiaMoND model takes at most 0.8x
+#      the legacy Factor fold of the same families, timed in the same
+#      process (host-relative: a snapshot build that still ran that fold
+#      reads above 1).
 #
 # Every row runs and prints a verdict per benchmark entry; the script
 # exits nonzero when any row failed.
@@ -81,6 +86,8 @@ GUARDS = [
     ("abl_fleet", "FleetSweep", "per_tenant_overhead_ratio", 2.0, "max"),
     # 3 x alpha_model (= 6 in the sweep config).
     ("abl_fleet", "FleetSweep", "staleness_p99_ticks", 18.0, "max"),
+    ("abl_query_throughput", "SnapshotBuild", "snapshot_to_legacy_fold", 0.8,
+     "max"),
 ]
 
 
@@ -106,7 +113,10 @@ runs = {}  # (bench, filter) -> fresh JSON path, or None if the run failed
 def run(bench, flt):
     if (bench, flt) not in runs:
         binary = os.path.join(build_dir, "bench", bench)
-        out = os.path.join(build_dir, "PERF_SMOKE_%s.json" % bench)
+        # One file per (bench, filter): two filters of one bench must not
+        # overwrite each other's results.
+        out = os.path.join(build_dir, "PERF_SMOKE_%s%s.json"
+                           % (bench, "_" + flt if flt else ""))
         cmd = [binary, "--benchmark_out=" + out,
                "--benchmark_out_format=json"]
         if flt:

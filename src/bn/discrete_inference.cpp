@@ -18,33 +18,15 @@ VariableElimination::VariableElimination(const BayesianNetwork& net)
   }
 }
 
-namespace {
-
-/// Family factor of node \p v: scope = parents (most significant) then the
-/// child, matching the CPT's (config, state) layout.
-Factor make_node_factor(const BayesianNetwork& net, std::size_t v) {
+FlatFactor family_factor(const BayesianNetwork& net, std::size_t v) {
   const auto& cpt = static_cast<const TabularCpd&>(net.cpd(v));
   const auto pars = net.dag().parents(v);
-
-  std::vector<std::size_t> scope(pars.begin(), pars.end());
-  scope.push_back(v);
-  std::vector<std::size_t> cards = cpt.parent_cardinalities();
-  cards.push_back(cpt.child_cardinality());
-
-  std::vector<double> values;
-  values.reserve(cpt.config_count() * cpt.child_cardinality());
-  for (std::size_t cfg = 0; cfg < cpt.config_count(); ++cfg) {
-    for (std::size_t s = 0; s < cpt.child_cardinality(); ++s) {
-      values.push_back(cpt.probability(cfg, s));
-    }
-  }
-  return Factor(std::move(scope), std::move(cards), std::move(values));
-}
-
-}  // namespace
-
-Factor VariableElimination::node_factor(std::size_t v) const {
-  return make_node_factor(net_, v);
+  FlatFactor f{{pars.begin(), pars.end()},
+               cpt.parent_cardinalities(),
+               {cpt.table().begin(), cpt.table().end()}};
+  f.scope.push_back(v);
+  f.cards.push_back(cpt.child_cardinality());
+  return f;
 }
 
 Factor VariableElimination::run(std::span<const std::size_t> keep,
@@ -63,7 +45,7 @@ Factor VariableElimination::run(std::span<const std::size_t> keep,
   std::vector<FlatFactor> factors;
   factors.reserve(net_.size());
   for (std::size_t v = 0; v < net_.size(); ++v) {
-    FlatFactor f = FlatFactor::from(node_factor(v));
+    FlatFactor f = family_factor(net_, v);
     for (const auto& [var, state] : evidence) {
       if (has_var(f, var)) reduce_evidence(f, var, state);
     }
@@ -170,7 +152,7 @@ MpeResult most_probable_explanation(const BayesianNetwork& net,
   std::vector<Factor> factors;
   factors.reserve(net.size());
   for (std::size_t v = 0; v < net.size(); ++v) {
-    Factor f = make_node_factor(net, v);
+    Factor f = family_factor(net, v).to_factor();
     for (const auto& [var, state] : evidence) {
       if (f.has_variable(var)) f = f.reduce(var, state);
     }

@@ -8,12 +8,20 @@
 #include <vector>
 
 #include "bn/factor.hpp"
+#include "bn/factor_kernels.hpp"
 #include "bn/network.hpp"
 
 namespace kertbn::bn {
 
 /// Evidence: node index -> observed state.
 using DiscreteEvidence = std::map<std::size_t, std::size_t>;
+
+/// Family factor of tabular node \p v, read straight from its CPT: scope =
+/// parents (first most significant) then v, values = the table, whose
+/// (configuration, state) row-major layout is that scope's layout. Variable
+/// elimination's node factors and the junction tree's clique potentials
+/// both start here.
+FlatFactor family_factor(const BayesianNetwork& net, std::size_t v);
 
 /// Variable-elimination engine bound to one (all-discrete, complete)
 /// network. The network must outlive the engine.
@@ -34,9 +42,6 @@ class VariableElimination {
   double evidence_probability(const DiscreteEvidence& evidence) const;
 
  private:
-  /// CPT of node \p v as a factor over {v} ∪ parents(v).
-  Factor node_factor(std::size_t v) const;
-
   /// Eliminates all variables outside keep ∪ evidence scope.
   Factor run(std::span<const std::size_t> keep,
              const DiscreteEvidence& evidence) const;

@@ -5,7 +5,7 @@
 #include <functional>
 #include <numeric>
 
-#include "bn/tabular_cpd.hpp"
+#include "bn/discrete_inference.hpp"
 #include "common/contract.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
@@ -240,29 +240,25 @@ void JunctionTree::build_structure() {
   posterior_plan_ready_.assign(n, 0);
 }
 
-Factor JunctionTree::clique_base_factor(std::size_t c) const {
-  Factor base = Factor::unit();
+void JunctionTree::build_bases() const {
+  // Each clique's potential is the product of the families assigned to it,
+  // folded pairwise in node order from the CPT tables: the scope and the
+  // multiplies of the legacy Factor fold from the unit factor (1·x = x, so
+  // the first family is taken as is), and products are bit-exact on every
+  // tier. A clique with no family keeps the unit factor. The workspace is
+  // local so the serving plan cache and its counters see only queries.
+  FactorWorkspace ws;
+  FlatFactor tmp;
+  std::fill(clean_base_.begin(), clean_base_.end(), FlatFactor::unit());
   for (std::size_t v = 0; v < net_.size(); ++v) {
-    if (family_clique_[v] != c) continue;
-    // Family factor: parents (most significant) then child, matching the
-    // CPT layout (same construction as VariableElimination::node_factor).
-    const auto& cpt = static_cast<const TabularCpd&>(net_.cpd(v));
-    const auto pars = net_.dag().parents(v);
-    std::vector<std::size_t> scope(pars.begin(), pars.end());
-    scope.push_back(v);
-    std::vector<std::size_t> cards = cpt.parent_cardinalities();
-    cards.push_back(cpt.child_cardinality());
-    std::vector<double> values;
-    values.reserve(cpt.config_count() * cpt.child_cardinality());
-    for (std::size_t cfg = 0; cfg < cpt.config_count(); ++cfg) {
-      for (std::size_t s = 0; s < cpt.child_cardinality(); ++s) {
-        values.push_back(cpt.probability(cfg, s));
-      }
+    FlatFactor& base = clean_base_[family_clique_[v]];
+    if (base.scope.empty()) {
+      base = family_factor(net_, v);
+      continue;
     }
-    base = base.product(
-        Factor(std::move(scope), std::move(cards), std::move(values)));
+    ws.product(base, family_factor(net_, v), tmp);
+    std::swap(base, tmp);
   }
-  return base;
 }
 
 std::size_t JunctionTree::message_id(std::size_t x, std::size_t y) const {
@@ -288,9 +284,7 @@ void JunctionTree::ensure_clean() const {
   if (clean_ready_) return;
   KERTBN_SPAN_VAR(span, "jt.calibrate");
   span.tag("evidence", std::uint64_t{0});
-  for (std::size_t c = 0; c < cliques_.size(); ++c) {
-    clean_base_[c] = FlatFactor::from(clique_base_factor(c));
-  }
+  build_bases();
   auto compute_msg = [&](std::size_t x, std::size_t y) {
     std::vector<const FlatFactor*> in;
     for (std::size_t nb : neighbors_[x]) {
@@ -324,6 +318,9 @@ void JunctionTree::ensure_clean() const {
 
 const FlatFactor& JunctionTree::clean_belief(std::size_t c) const {
   KERTBN_ASSERT(clean_ready_);
+  // No messages come in: the belief is the base itself (an empty chain
+  // would only copy it).
+  if (neighbors_[c].empty()) return clean_base_[c];
   if (clean_belief_ready_[c]) return clean_beliefs_[c];
   std::vector<const FlatFactor*> in;
   for (std::size_t nb : neighbors_[c]) {
@@ -517,7 +514,7 @@ void JunctionTree::warm() {
   for (std::size_t c = 0; c < cliques_.size(); ++c) clean_belief(c);
   for (std::size_t v = 0; v < net_.size(); ++v) {
     if (posterior_plan_ready_[v]) continue;
-    const FlatFactor& b = clean_beliefs_[family_clique_[v]];
+    const FlatFactor& b = clean_belief(family_clique_[v]);
     const std::size_t target[1] = {v};
     posterior_plans_[v] = make_reduce_plan(b.scope, b.cards, target);
     posterior_plan_ready_[v] = 1;

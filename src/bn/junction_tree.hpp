@@ -14,11 +14,11 @@
 /// maximum-weight spanning tree over separator sizes -> CPT assignment ->
 /// evidence reduction -> upward/downward sum-product calibration.
 ///
-/// Serving-path design (see DESIGN "Query serving"): all message and
-/// belief computation runs on the flat kernels in factor_kernels.hpp
-/// through a per-tree FactorWorkspace, so the steady state reuses cached
-/// alignment plans and scratch buffers. Calibration is *lazy and
-/// incremental*: calibrate() only records the evidence and marks the
+/// Serving-path design (see DESIGN "Query serving"): clique potentials,
+/// messages and beliefs all run on the flat kernels in factor_kernels.hpp;
+/// queries go through a per-tree FactorWorkspace, so the steady state
+/// reuses cached alignment plans and scratch buffers. Calibration is *lazy
+/// and incremental*: calibrate() only records the evidence and marks the
 /// cliques whose potentials changed (evidence attaches at a variable's
 /// family clique). A posterior read then pulls exactly the messages
 /// directed toward the target clique; any message whose source side
@@ -53,7 +53,6 @@
 #include <map>
 #include <vector>
 
-#include "bn/factor.hpp"
 #include "bn/factor_kernels.hpp"
 #include "bn/network.hpp"
 
@@ -115,6 +114,14 @@ class JunctionTree {
   std::size_t max_clique_size() const;
 
   const CalibrationStats& stats() const { return stats_; }
+  /// Diagnostics: the clique holding node v's family, and clique c's
+  /// no-evidence potential (the product of its families, the unit factor
+  /// when it holds none).
+  std::size_t family_clique(std::size_t v) const { return family_clique_[v]; }
+  const FlatFactor& clique_potential(std::size_t c) const {
+    ensure_clean();
+    return clean_base_[c];
+  }
   /// Plan-cache hit rate of the underlying workspace (diagnostics).
   std::size_t plan_hits() const { return ws_.plan_hits(); }
   std::size_t plan_misses() const { return ws_.plan_misses(); }
@@ -129,7 +136,8 @@ class JunctionTree {
   static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
 
   void build_structure();
-  Factor clique_base_factor(std::size_t c) const;
+  /// Fills clean_base_ with each clique's no-evidence potential.
+  void build_bases() const;
 
   /// Computes the cached no-evidence calibration once: clean clique
   /// potentials and the full fixed point of directed messages.
@@ -174,7 +182,8 @@ class JunctionTree {
   mutable bool clean_ready_ = false;
   mutable std::vector<FlatFactor> clean_base_;      // per clique
   mutable std::vector<FlatFactor> clean_msgs_;      // per directed id
-  mutable std::vector<FlatFactor> clean_beliefs_;   // per clique (lazy)
+  // Per clique (lazy); a clique with no neighbours serves its base instead.
+  mutable std::vector<FlatFactor> clean_beliefs_;
   mutable std::vector<char> clean_belief_ready_;
   mutable std::vector<double> clean_root_total_;    // per component
 

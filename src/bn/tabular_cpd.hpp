@@ -50,6 +50,9 @@ class TabularCpd final : public Cpd {
 
   /// P(child = state | parent configuration row).
   double probability(std::size_t config, std::size_t state) const;
+  /// The whole table, config_count() x child_cardinality() row-major: the
+  /// layout of a factor over (parents..., child).
+  std::span<const double> table() const { return table_; }
   /// Mutable access used by learners; call normalize_rows() afterwards.
   double& probability_ref(std::size_t config, std::size_t state);
   /// Renormalizes every row to sum to 1 (rows of all zeros become uniform).

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 
 #include "bn/discrete_inference.hpp"
 #include "bn/learning.hpp"
@@ -10,6 +11,7 @@
 #include "common/rng.hpp"
 #include "kert/kert_builder.hpp"
 #include "sosim/synthetic.hpp"
+#include "support/simd_tiers.hpp"
 
 namespace kertbn::bn {
 namespace {
@@ -193,6 +195,124 @@ TEST(JunctionTree, KertBnManyQueriesConsistent) {
   EXPECT_GE(jt.clique_count(), 1u);
   // D's family spans all seven variables, so the biggest clique holds 7.
   EXPECT_EQ(jt.max_clique_size(), 7u);
+}
+
+/// The legacy clique potential: the unit factor times every family the
+/// tree assigned to clique c, in node order, each family copied entry by
+/// entry out of its CPT.
+Factor legacy_potential(const BayesianNetwork& net, const JunctionTree& jt,
+                        std::size_t c) {
+  Factor base = Factor::unit();
+  for (std::size_t v = 0; v < net.size(); ++v) {
+    if (jt.family_clique(v) != c) continue;
+    const auto& cpt = static_cast<const TabularCpd&>(net.cpd(v));
+    const auto pars = net.dag().parents(v);
+    std::vector<std::size_t> scope(pars.begin(), pars.end());
+    scope.push_back(v);
+    std::vector<std::size_t> cards = cpt.parent_cardinalities();
+    cards.push_back(cpt.child_cardinality());
+    std::vector<double> values;
+    for (std::size_t cfg = 0; cfg < cpt.config_count(); ++cfg) {
+      for (std::size_t s = 0; s < cpt.child_cardinality(); ++s) {
+        values.push_back(cpt.probability(cfg, s));
+      }
+    }
+    base = base.product(Factor(scope, cards, values));
+  }
+  return base;
+}
+
+/// Index of the first entry whose bits differ, or npos when all match.
+std::size_t first_bit_difference(const std::vector<double>& a,
+                                 const std::vector<double>& b) {
+  if (a.size() != b.size()) return 0;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (std::bit_cast<std::uint64_t>(a[i]) !=
+        std::bit_cast<std::uint64_t>(b[i])) {
+      return i;
+    }
+  }
+  return std::string::npos;
+}
+
+BayesianNetwork ediamond_kert(std::size_t bins) {
+  sim::SyntheticEnvironment env = sim::make_ediamond_environment();
+  kertbn::Rng rng(42);
+  const bn::Dataset train = env.generate(400, rng);
+  const core::DatasetDiscretizer disc(train, bins);
+  return core::construct_kert_discrete(env.workflow(), env.sharing(), disc,
+                                       disc.discretize(train))
+      .net;
+}
+
+/// Clique potentials are built on the flat kernels from the CPT tables; the
+/// scope, the multiplies and so every bit must equal the legacy Factor
+/// fold, on every tier the host runs.
+TEST(JunctionTree, CliquePotentialsEqualLegacyFoldOnEveryTier) {
+  test_support::TierGuard guard;
+  std::vector<BayesianNetwork> nets;
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    nets.push_back(random_network(14, seed));
+  }
+  nets.push_back(ediamond_kert(3));
+  nets.push_back(ediamond_kert(4));
+  for (simd::Tier tier : test_support::runnable_tiers()) {
+    simd::set_active_tier(tier);
+    std::size_t multi_clique = 0;
+    std::size_t familyless = 0;
+    for (std::size_t k = 0; k < nets.size(); ++k) {
+      const JunctionTree jt(nets[k]);
+      if (jt.clique_count() > 1) ++multi_clique;
+      for (std::size_t c = 0; c < jt.clique_count(); ++c) {
+        const FlatFactor& got = jt.clique_potential(c);
+        const Factor want = legacy_potential(nets[k], jt, c);
+        if (want.scope().empty()) ++familyless;
+        EXPECT_EQ(got.scope, want.scope()) << "net " << k << " clique " << c;
+        EXPECT_EQ(got.cards, want.cardinalities());
+        EXPECT_EQ(first_bit_difference(got.values, want.values()),
+                  std::string::npos)
+            << "net " << k << " clique " << c << " tier "
+            << static_cast<int>(tier);
+      }
+    }
+    EXPECT_GE(multi_clique, 10u);
+    EXPECT_GT(familyless, 0u) << "no clique without a family was covered";
+  }
+}
+
+/// On a one-clique network, P(e) with every node observed is one entry of
+/// the clique's potential: the read slices the base down to that entry and
+/// adds it to +0. The eDiaMoND KERT-BN is one clique (D's family holds
+/// every node).
+TEST(JunctionTree, FullyObservedEvidenceReadsOneLegacyPotentialEntry) {
+  test_support::TierGuard guard;
+  for (std::size_t bins : {3u, 4u}) {
+    const BayesianNetwork net = ediamond_kert(bins);
+    JunctionTree jt(net);
+    ASSERT_EQ(jt.clique_count(), 1u);
+    const Factor want = legacy_potential(net, jt, 0);
+    const std::vector<std::size_t>& scope = want.scope();
+    for (simd::Tier tier : test_support::runnable_tiers()) {
+      simd::set_active_tier(tier);
+      std::size_t mismatches = 0;
+      SortedEvidence ev(net.size());
+      for (std::size_t i = 0; i < want.values().size(); ++i) {
+        // Entry i in the potential's scope order, as sorted evidence.
+        std::size_t rest = i;
+        for (std::size_t d = scope.size(); d-- > 0;) {
+          ev[scope[d]] = {scope[d], rest % want.cardinalities()[d]};
+          rest /= want.cardinalities()[d];
+        }
+        jt.calibrate_sorted(ev);
+        if (std::bit_cast<std::uint64_t>(jt.evidence_probability()) !=
+            std::bit_cast<std::uint64_t>(want.values()[i])) {
+          ++mismatches;
+        }
+      }
+      EXPECT_EQ(mismatches, 0u)
+          << bins << " bins, tier " << static_cast<int>(tier);
+    }
+  }
 }
 
 TEST(JunctionTreeIncremental, ConstructionDefersCalibration) {
