@@ -9,6 +9,81 @@
 
 namespace kertbn::bn {
 
+namespace {
+
+bool has_var(const FlatFactor& f, std::size_t var) {
+  return std::find(f.scope.begin(), f.scope.end(), var) != f.scope.end();
+}
+
+/// Every node's family factor with the evidence sliced out of it, in node
+/// order.
+std::vector<FlatFactor> evidence_factors(const BayesianNetwork& net,
+                                         const DiscreteEvidence& evidence) {
+  for (const auto& [var, state] : evidence) {
+    KERTBN_EXPECTS(var < net.size());
+    KERTBN_EXPECTS(state < net.variable(var).cardinality);
+  }
+  std::vector<FlatFactor> factors;
+  factors.reserve(net.size());
+  for (std::size_t v = 0; v < net.size(); ++v) {
+    FlatFactor f = family_factor(net, v);
+    for (const auto& [var, state] : evidence) {
+      if (has_var(f, var)) reduce_evidence(f, var, state);
+    }
+    factors.push_back(std::move(f));
+  }
+  return factors;
+}
+
+/// Takes every factor that mentions \p var out of \p factors and returns
+/// their product, folded from the unit factor in list order.
+FlatFactor take_product(FactorWorkspace& ws, std::vector<FlatFactor>& factors,
+                        std::size_t var) {
+  FlatFactor combined = FlatFactor::unit();
+  FlatFactor tmp;
+  std::vector<FlatFactor> rest;
+  rest.reserve(factors.size());
+  for (FlatFactor& f : factors) {
+    if (has_var(f, var)) {
+      ws.product(combined, f, tmp);
+      std::swap(combined, tmp);
+    } else {
+      rest.push_back(std::move(f));
+    }
+  }
+  factors = std::move(rest);
+  return combined;
+}
+
+/// out = \p f with \p var maxed out. Each entry is folded over var's
+/// states in ascending order with std::max, which keeps the earlier value
+/// on a tie.
+void max_out(const FlatFactor& f, std::size_t var, FlatFactor& out) {
+  const auto dim = static_cast<std::size_t>(
+      std::find(f.scope.begin(), f.scope.end(), var) - f.scope.begin());
+  KERTBN_EXPECTS(dim < f.scope.size());
+  std::size_t stride = 1;
+  for (std::size_t i = dim + 1; i < f.cards.size(); ++i) stride *= f.cards[i];
+  const std::size_t card = f.cards[dim];
+  out.scope = f.scope;
+  out.cards = f.cards;
+  out.scope.erase(out.scope.begin() + static_cast<std::ptrdiff_t>(dim));
+  out.cards.erase(out.cards.begin() + static_cast<std::ptrdiff_t>(dim));
+  out.values.resize(f.values.size() / card);
+  std::size_t o = 0;
+  for (std::size_t base = 0; base < f.values.size(); base += stride * card) {
+    for (std::size_t inner = 0; inner < stride; ++inner, ++o) {
+      double best = f.values[base + inner];
+      for (std::size_t k = 1; k < card; ++k) {
+        best = std::max(best, f.values[base + k * stride + inner]);
+      }
+      out.values[o] = best;
+    }
+  }
+}
+
+}  // namespace
+
 VariableElimination::VariableElimination(const BayesianNetwork& net)
     : net_(net) {
   KERTBN_EXPECTS(net.is_complete());
@@ -29,28 +104,15 @@ FlatFactor family_factor(const BayesianNetwork& net, std::size_t v) {
   return f;
 }
 
-Factor VariableElimination::run(std::span<const std::size_t> keep,
-                                const DiscreteEvidence& evidence) const {
+FlatFactor VariableElimination::run(std::span<const std::size_t> keep,
+                                    const DiscreteEvidence& evidence) const {
   // Runs on the flat factor kernels shared with the junction tree (same
   // fold order and summation order as the legacy Factor chain, so the
   // scalar dispatch tier is bit-identical to it). VE instances are built
   // per query by the pruned-query router, so the plan cache is run-local —
   // it still pays off because elimination re-hits the same scope shapes.
   FactorWorkspace ws;
-  auto has_var = [](const FlatFactor& f, std::size_t var) {
-    return std::find(f.scope.begin(), f.scope.end(), var) != f.scope.end();
-  };
-
-  // Build all node factors, applying evidence reductions eagerly.
-  std::vector<FlatFactor> factors;
-  factors.reserve(net_.size());
-  for (std::size_t v = 0; v < net_.size(); ++v) {
-    FlatFactor f = family_factor(net_, v);
-    for (const auto& [var, state] : evidence) {
-      if (has_var(f, var)) reduce_evidence(f, var, state);
-    }
-    factors.push_back(std::move(f));
-  }
+  std::vector<FlatFactor> factors = evidence_factors(net_, evidence);
 
   std::vector<bool> is_kept(net_.size(), false);
   for (std::size_t q : keep) is_kept[q] = true;
@@ -63,7 +125,6 @@ Factor VariableElimination::run(std::span<const std::size_t> keep,
     if (!is_kept[v]) hidden.push_back(v);
   }
 
-  FlatFactor tmp;
   while (!hidden.empty()) {
     // Pick the hidden variable whose elimination builds the smallest factor.
     std::size_t best_pos = 0;
@@ -91,17 +152,7 @@ Factor VariableElimination::run(std::span<const std::size_t> keep,
     hidden.erase(hidden.begin() + static_cast<std::ptrdiff_t>(best_pos));
 
     // Multiply all factors mentioning var, then sum it out.
-    FlatFactor combined = FlatFactor::unit();
-    std::vector<FlatFactor> rest;
-    rest.reserve(factors.size());
-    for (FlatFactor& f : factors) {
-      if (has_var(f, var)) {
-        ws.product(combined, f, tmp);
-        std::swap(combined, tmp);
-      } else {
-        rest.push_back(std::move(f));
-      }
-    }
+    const FlatFactor combined = take_product(ws, factors, var);
     std::vector<std::size_t> target;
     target.reserve(combined.scope.size());
     for (std::size_t sv : combined.scope) {
@@ -109,16 +160,16 @@ Factor VariableElimination::run(std::span<const std::size_t> keep,
     }
     FlatFactor reduced;
     ws.reduce(combined, target, reduced);
-    rest.push_back(std::move(reduced));
-    factors = std::move(rest);
+    factors.push_back(std::move(reduced));
   }
 
   FlatFactor result = FlatFactor::unit();
+  FlatFactor tmp;
   for (const FlatFactor& f : factors) {
     ws.product(result, f, tmp);
     std::swap(result, tmp);
   }
-  return result.to_factor();
+  return result;
 }
 
 std::vector<double> VariableElimination::posterior(
@@ -126,38 +177,28 @@ std::vector<double> VariableElimination::posterior(
   KERTBN_EXPECTS(query < net_.size());
   KERTBN_EXPECTS(!evidence.contains(query));
   const std::size_t keep[] = {query};
-  const Factor joint = run(keep, evidence).normalized();
+  FlatFactor joint = run(keep, evidence);
   // The result's scope is exactly {query}.
-  KERTBN_ASSERT(joint.scope().size() == 1 && joint.scope()[0] == query);
-  return joint.values();
-}
-
-Factor VariableElimination::joint_posterior(
-    std::span<const std::size_t> queries,
-    const DiscreteEvidence& evidence) const {
-  return run(queries, evidence).normalized();
+  KERTBN_ASSERT(joint.scope.size() == 1 && joint.scope[0] == query);
+  // Each entry over the storage-order total; an all-zero result stays as
+  // it is.
+  const double t = joint.total();
+  if (t <= 0.0) return std::move(joint.values);
+  for (double& x : joint.values) x /= t;
+  return std::move(joint.values);
 }
 
 double VariableElimination::evidence_probability(
     const DiscreteEvidence& evidence) const {
   KERTBN_EXPECTS(!evidence.empty());
-  const Factor f = run({}, evidence);
-  return f.total();
+  return run({}, evidence).total();
 }
 
 MpeResult most_probable_explanation(const BayesianNetwork& net,
                                     const DiscreteEvidence& evidence) {
   KERTBN_EXPECTS(net.is_complete());
-  // Build evidence-reduced node factors (same layout as VE).
-  std::vector<Factor> factors;
-  factors.reserve(net.size());
-  for (std::size_t v = 0; v < net.size(); ++v) {
-    Factor f = family_factor(net, v).to_factor();
-    for (const auto& [var, state] : evidence) {
-      if (f.has_variable(var)) f = f.reduce(var, state);
-    }
-    factors.push_back(std::move(f));
-  }
+  FactorWorkspace ws;
+  std::vector<FlatFactor> factors = evidence_factors(net, evidence);
 
   // Max-product elimination of every hidden variable, in index order,
   // recording the combined factor before each elimination for traceback.
@@ -167,30 +208,22 @@ MpeResult most_probable_explanation(const BayesianNetwork& net,
   }
   struct Step {
     std::size_t var;
-    Factor combined;  // factor over var + not-yet-eliminated scope
+    FlatFactor combined;  // factor over var + not-yet-eliminated scope
   };
   std::vector<Step> trace;
   trace.reserve(hidden.size());
 
   for (std::size_t var : hidden) {
-    Factor combined = Factor::unit();
-    std::vector<Factor> rest;
-    rest.reserve(factors.size());
-    for (Factor& f : factors) {
-      if (f.has_variable(var)) {
-        combined = combined.product(f);
-      } else {
-        rest.push_back(std::move(f));
-      }
-    }
-    rest.push_back(combined.max_marginalize(var));
-    factors = std::move(rest);
+    FlatFactor combined = take_product(ws, factors, var);
+    FlatFactor maxed;
+    max_out(combined, var, maxed);
+    factors.push_back(std::move(maxed));
     trace.push_back({var, std::move(combined)});
   }
 
   // Remaining factors are scalars; their product is max_x P(x, e).
   double best = 1.0;
-  for (const Factor& f : factors) best *= f.total();
+  for (const FlatFactor& f : factors) best *= f.total();
 
   MpeResult result;
   result.states.assign(net.size(), 0);
@@ -199,24 +232,22 @@ MpeResult most_probable_explanation(const BayesianNetwork& net,
 
   // Traceback in reverse elimination order: each step's factor depends
   // only on its own variable and variables eliminated *later* (already
-  // assigned by now).
+  // assigned by now). Slicing those out leaves a factor over var alone;
+  // its first largest entry is var's state.
   for (std::size_t i = trace.size(); i-- > 0;) {
-    Factor f = trace[i].combined;
-    for (std::size_t v : std::vector<std::size_t>(f.scope())) {
-      if (v == trace[i].var) continue;
-      f = f.reduce(v, result.states[v]);
+    FlatFactor& f = trace[i].combined;
+    const std::vector<std::size_t> scope = f.scope;
+    for (std::size_t v : scope) {
+      if (v != trace[i].var) reduce_evidence(f, v, result.states[v]);
     }
-    result.states[trace[i].var] = f.argmax_state();
+    KERTBN_ASSERT(f.scope.size() == 1);
+    std::size_t arg = 0;
+    for (std::size_t s = 1; s < f.values.size(); ++s) {
+      if (f.values[s] > f.values[arg]) arg = s;
+    }
+    result.states[trace[i].var] = arg;
   }
   return result;
-}
-
-double posterior_mean_state(const std::vector<double>& dist) {
-  double m = 0.0;
-  for (std::size_t s = 0; s < dist.size(); ++s) {
-    m += static_cast<double>(s) * dist[s];
-  }
-  return m;
 }
 
 }  // namespace kertbn::bn

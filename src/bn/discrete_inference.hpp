@@ -4,16 +4,19 @@
 /// This powers the Section 5 applications: dComp posterior queries and
 /// pAccel response-time projections on the discrete eDiaMoND models.
 
+#include <cstddef>
 #include <map>
+#include <span>
 #include <vector>
 
-#include "bn/factor.hpp"
 #include "bn/factor_kernels.hpp"
 #include "bn/network.hpp"
 
 namespace kertbn::bn {
 
-/// Evidence: node index -> observed state.
+/// Evidence: node index -> observed state. Every node must be in the
+/// network and every state one of its node's states (contract-checked by
+/// variable elimination and the most probable explanation).
 using DiscreteEvidence = std::map<std::size_t, std::size_t>;
 
 /// Family factor of tabular node \p v, read straight from its CPT: scope =
@@ -33,25 +36,16 @@ class VariableElimination {
   std::vector<double> posterior(std::size_t query,
                                 const DiscreteEvidence& evidence) const;
 
-  /// Joint posterior over a small set of query variables; the returned
-  /// factor's scope preserves \p queries' variable ids.
-  Factor joint_posterior(std::span<const std::size_t> queries,
-                         const DiscreteEvidence& evidence) const;
-
   /// Probability of the evidence, P(e).
   double evidence_probability(const DiscreteEvidence& evidence) const;
 
  private:
   /// Eliminates all variables outside keep ∪ evidence scope.
-  Factor run(std::span<const std::size_t> keep,
-             const DiscreteEvidence& evidence) const;
+  FlatFactor run(std::span<const std::size_t> keep,
+                 const DiscreteEvidence& evidence) const;
 
   const BayesianNetwork& net_;
 };
-
-/// Expected value of a discrete node's *state index* under a posterior
-/// distribution (useful when states are quantile bins).
-double posterior_mean_state(const std::vector<double>& dist);
 
 /// Most probable explanation: the jointly most likely assignment of every
 /// non-evidence variable given the evidence (max-product variable

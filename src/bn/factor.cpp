@@ -1,7 +1,6 @@
 #include "bn/factor.hpp"
 
 #include <algorithm>
-#include <sstream>
 
 #include "common/contract.hpp"
 
@@ -98,7 +97,7 @@ Factor Factor::product(const Factor& other) const {
   return Factor(std::move(scope), std::move(cards), std::move(values));
 }
 
-Factor Factor::reduce_out(std::size_t var, ReduceOp op) const {
+Factor Factor::marginalize(std::size_t var) const {
   auto it = std::find(scope_.begin(), scope_.end(), var);
   KERTBN_EXPECTS(it != scope_.end());
   const auto drop = static_cast<std::size_t>(it - scope_.begin());
@@ -121,39 +120,14 @@ Factor Factor::reduce_out(std::size_t var, ReduceOp op) const {
   std::size_t out = 0;
   for (std::size_t base = 0; base < values_.size(); base += block) {
     for (std::size_t inner = 0; inner < stride; ++inner, ++out) {
-      if (op == ReduceOp::kSum) {
-        double s = 0.0;
-        for (std::size_t k = 0; k < var_card; ++k) {
-          s += values_[base + k * stride + inner];
-        }
-        values[out] = s;
-      } else {
-        double best = values_[base + inner];
-        for (std::size_t k = 1; k < var_card; ++k) {
-          best = std::max(best, values_[base + k * stride + inner]);
-        }
-        values[out] = best;
+      double s = 0.0;
+      for (std::size_t k = 0; k < var_card; ++k) {
+        s += values_[base + k * stride + inner];
       }
+      values[out] = s;
     }
   }
   return Factor(std::move(scope), std::move(cards), std::move(values));
-}
-
-Factor Factor::marginalize(std::size_t var) const {
-  return reduce_out(var, ReduceOp::kSum);
-}
-
-Factor Factor::max_marginalize(std::size_t var) const {
-  return reduce_out(var, ReduceOp::kMax);
-}
-
-std::size_t Factor::argmax_state() const {
-  KERTBN_EXPECTS(scope_.size() == 1);
-  std::size_t best = 0;
-  for (std::size_t s = 1; s < values_.size(); ++s) {
-    if (values_[s] > values_[best]) best = s;
-  }
-  return best;
 }
 
 Factor Factor::reduce(std::size_t var, std::size_t state) const {
@@ -185,29 +159,10 @@ Factor Factor::reduce(std::size_t var, std::size_t state) const {
   return Factor(std::move(scope), std::move(cards), std::move(values));
 }
 
-Factor Factor::normalized() const {
-  const double t = total();
-  if (t <= 0.0) return *this;
-  Factor out = *this;
-  for (double& v : out.values_) v /= t;
-  return out;
-}
-
 double Factor::total() const {
   double t = 0.0;
   for (double v : values_) t += v;
   return t;
-}
-
-std::string Factor::to_string() const {
-  std::ostringstream out;
-  out << "Factor(scope=[";
-  for (std::size_t i = 0; i < scope_.size(); ++i) {
-    if (i > 0) out << ", ";
-    out << scope_[i];
-  }
-  out << "], size=" << values_.size() << ")";
-  return out.str();
 }
 
 }  // namespace kertbn::bn

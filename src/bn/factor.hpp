@@ -1,13 +1,14 @@
 #pragma once
 /// \file factor.hpp
-/// Discrete factors (potentials) over sets of variables, the workhorse of
-/// variable-elimination inference. Scope variables are global node indices;
-/// values are stored row-major in scope order (first variable most
-/// significant).
+/// Legacy discrete factor: the reference the flat kernels
+/// (factor_kernels.hpp) are held to bit for bit. Every operation allocates
+/// a fresh table and walks it entry by entry in the plainest order, so the
+/// tests and BM_SnapshotBuild use it as an oracle; no inference path runs
+/// on it. Scope variables are global node indices; values are stored
+/// row-major in scope order (first variable most significant).
 
 #include <cstddef>
 #include <span>
-#include <string>
 #include <vector>
 
 namespace kertbn::bn {
@@ -36,34 +37,18 @@ class Factor {
   /// Pointwise product; scopes are merged (union).
   Factor product(const Factor& other) const;
 
-  /// Sums out \p var; contract-fails if absent.
+  /// Sums out \p var (its states in ascending order per entry);
+  /// contract-fails if absent.
   Factor marginalize(std::size_t var) const;
-
-  /// Maxes out \p var (max-product elimination); contract-fails if absent.
-  Factor max_marginalize(std::size_t var) const;
-
-  /// For a single-variable factor: the state with the largest value.
-  std::size_t argmax_state() const;
 
   /// Restricts \p var to \p state and drops it from the scope.
   Factor reduce(std::size_t var, std::size_t state) const;
 
-  /// Scales so values sum to 1 (no-op on an all-zero factor).
-  Factor normalized() const;
-
-  /// Sum of all entries.
+  /// Sum of all entries, in storage order.
   double total() const;
-
-  std::string to_string() const;
 
  private:
   std::size_t linear_index(std::span<const std::size_t> states) const;
-
-  enum class ReduceOp { kSum, kMax };
-  /// Shared reduction core for marginalize/max_marginalize: drops \p var,
-  /// combining its states with the given operation. The flat kernels in
-  /// factor_kernels.hpp replace exactly this code path on the hot path.
-  Factor reduce_out(std::size_t var, ReduceOp op) const;
 
   std::vector<std::size_t> scope_;
   std::vector<std::size_t> cards_;

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cmath>
-#include <limits>
 
 #include "bn/factor_simd.hpp"
 #include "common/contract.hpp"
@@ -135,7 +133,7 @@ bool advance_outer(std::span<const std::size_t> cards, std::size_t outer_nd,
 
 /// Merged product scope: fold operand scopes left to right, each operand
 /// appending its new variables — the exact scope (and value layout) the
-/// pairwise Factor::product chain yields.
+/// pairwise product chain yields.
 void merge_scopes(std::span<const FlatFactor* const> ops,
                   std::vector<std::size_t>& scope,
                   std::vector<std::size_t>& cards) {
@@ -204,80 +202,6 @@ double FlatFactor::total() const {
   double t = 0.0;
   for (double v : values) t += v;
   return t;
-}
-
-ProductPlan make_product_plan(std::span<const std::size_t> scope_a,
-                              std::span<const std::size_t> cards_a,
-                              std::span<const std::size_t> scope_b,
-                              std::span<const std::size_t> cards_b) {
-  KERTBN_EXPECTS(scope_a.size() == cards_a.size());
-  KERTBN_EXPECTS(scope_b.size() == cards_b.size());
-  ProductPlan plan;
-  plan.out_scope.assign(scope_a.begin(), scope_a.end());
-  plan.out_cards.assign(cards_a.begin(), cards_a.end());
-  for (std::size_t i = 0; i < scope_b.size(); ++i) {
-    if (find_in(scope_a, scope_b[i]) == kNone) {
-      plan.out_scope.push_back(scope_b[i]);
-      plan.out_cards.push_back(cards_b[i]);
-    }
-  }
-  plan.out_size = product_of(plan.out_cards);
-
-  const std::size_t nd = plan.out_scope.size();
-  plan.stride_a.assign(nd, 0);
-  plan.stride_b.assign(nd, 0);
-  for (std::size_t i = 0; i < nd; ++i) {
-    const std::size_t pa = find_in(scope_a, plan.out_scope[i]);
-    if (pa != kNone) plan.stride_a[i] = stride_of(cards_a, pa);
-    const std::size_t pb = find_in(scope_b, plan.out_scope[i]);
-    if (pb != kNone) plan.stride_b[i] = stride_of(cards_b, pb);
-  }
-
-  const std::size_t* rows[2] = {plan.stride_a.data(), plan.stride_b.data()};
-  std::vector<std::size_t> steps;
-  const TrailingRun run = find_trailing_run(plan.out_cards, rows, steps);
-  plan.run_len = run.len;
-  plan.run_dims = run.dims;
-  plan.vector_run = run.vector_run;
-  if (nd > 0) {
-    plan.run_step_a = steps[0];
-    plan.run_step_b = steps[1];
-  }
-  return plan;
-}
-
-void product_into(const ProductPlan& plan, std::span<const double> a,
-                  std::span<const double> b,
-                  std::vector<std::size_t>& odometer,
-                  std::vector<double>& out) {
-  out.resize(plan.out_size);
-  const std::size_t nd = plan.out_cards.size();
-  if (nd == 0) {
-    out[0] = a[0] * b[0];
-    return;
-  }
-  const std::size_t outer_nd = nd - plan.run_dims;
-  odometer.assign(outer_nd, 0);
-  const std::size_t* rows[2] = {plan.stride_a.data(), plan.stride_b.data()};
-  std::size_t offs[2] = {0, 0};
-  const simd_kernels::KernelOps& kops = simd_kernels::active_ops();
-  std::size_t o = 0;
-  do {
-    if (plan.vector_run) {
-      const simd_kernels::ChainOp cops[2] = {
-          {a.data() + offs[0], plan.run_step_a},
-          {b.data() + offs[1], plan.run_step_b}};
-      kops.chain_mul(out.data() + o, cops, 2, plan.run_len);
-      o += plan.run_len;
-    } else {
-      const double* pa = a.data() + offs[0];
-      const double* pb = b.data() + offs[1];
-      for (std::size_t i = 0; i < plan.run_len; ++i) {
-        out[o++] = pa[i * plan.run_step_a] * pb[i * plan.run_step_b];
-      }
-    }
-  } while (advance_outer(plan.out_cards, outer_nd, odometer, rows, offs));
-  KERTBN_ASSERT(o == plan.out_size);
 }
 
 ReducePlan make_reduce_plan(std::span<const std::size_t> scope,
@@ -394,6 +318,8 @@ void reduce_into(const ReducePlan& plan, std::span<const double> in,
   reduce_step(plan.steps.back(), bufs[cur], out.data());
 }
 
+namespace {
+
 ChainPlan make_chain_plan(std::span<const FlatFactor* const> ops) {
   KERTBN_EXPECTS(!ops.empty());
   ChainPlan plan;
@@ -429,12 +355,42 @@ void chain_product_into(const ChainPlan& plan,
     out[0] = acc;
     return;
   }
-  OperandState st(nops, nops, plan.strides.data(), nd);
   const std::size_t outer_nd = nd - plan.run_dims;
   odometer.assign(outer_nd, 0);
   const simd_kernels::KernelOps& kops = simd_kernels::active_ops();
-  const std::span<const std::size_t* const> row_span(st.rows, nops);
   std::size_t o = 0;
+  if (nops == 2) {
+    // Every pairwise product and every one-message belief lands here. Its
+    // offsets and run descriptors stay in locals the indirect kernel call
+    // cannot reach; the multi-operand walk below reloads them from the
+    // operand state on every run, and a clique-base fold makes thousands
+    // of runs a few elements long.
+    const double* a = ops[0]->values.data();
+    const double* b = ops[1]->values.data();
+    const std::size_t step_a = plan.run_steps[0];
+    const std::size_t step_b = plan.run_steps[1];
+    const std::size_t* rows[2] = {plan.strides.data(),
+                                  plan.strides.data() + nd};
+    std::size_t offs[2] = {0, 0};
+    do {
+      if (plan.vector_run) {
+        const simd_kernels::ChainOp cops[2] = {{a + offs[0], step_a},
+                                               {b + offs[1], step_b}};
+        kops.chain_mul(out.data() + o, cops, 2, plan.run_len);
+        o += plan.run_len;
+      } else {
+        const double* pa = a + offs[0];
+        const double* pb = b + offs[1];
+        for (std::size_t i = 0; i < plan.run_len; ++i) {
+          out[o++] = pa[i * step_a] * pb[i * step_b];
+        }
+      }
+    } while (advance_outer(plan.out_cards, outer_nd, odometer, rows, offs));
+    KERTBN_ASSERT(o == plan.out_size);
+    return;
+  }
+  OperandState st(nops, nops, plan.strides.data(), nd);
+  const std::span<const std::size_t* const> row_span(st.rows, nops);
   do {
     if (plan.vector_run) {
       for (std::size_t k = 0; k < nops; ++k) {
@@ -454,55 +410,6 @@ void chain_product_into(const ChainPlan& plan,
   } while (
       advance_outer(plan.out_cards, outer_nd, odometer, row_span, st.offs));
   KERTBN_ASSERT(o == plan.out_size);
-}
-
-double chain_product_log_into(const ChainPlan& plan,
-                              std::span<const FlatFactor* const> ops,
-                              std::vector<std::size_t>& odometer,
-                              std::vector<double>& out) {
-  KERTBN_EXPECTS(ops.size() == plan.nops);
-  out.resize(plan.out_size);
-  const std::size_t nops = plan.nops;
-  const std::size_t nd = plan.out_cards.size();
-  constexpr double kNegInf = -std::numeric_limits<double>::infinity();
-  double max_log = kNegInf;
-  if (nd == 0) {
-    double lacc = std::log(ops[0]->values[0]);
-    for (std::size_t k = 1; k < nops; ++k) lacc += std::log(ops[k]->values[0]);
-    max_log = lacc;
-    out[0] = lacc;
-  } else {
-    OperandState st(nops, nops, plan.strides.data(), nd);
-    const std::size_t outer_nd = nd - plan.run_dims;
-    odometer.assign(outer_nd, 0);
-    const std::span<const std::size_t* const> row_span(st.rows, nops);
-    std::size_t o = 0;
-    do {
-      // The run steps hold per-element strides whether or not the plan
-      // qualified for a vector run (0/1 then, general strides otherwise),
-      // so one scalar walk covers both; log has no vector execution.
-      for (std::size_t i = 0; i < plan.run_len; ++i) {
-        double lacc =
-            std::log(ops[0]->values[st.offs[0] + i * plan.run_steps[0]]);
-        for (std::size_t k = 1; k < nops; ++k) {
-          lacc +=
-              std::log(ops[k]->values[st.offs[k] + i * plan.run_steps[k]]);
-        }
-        if (lacc > max_log) max_log = lacc;
-        out[o++] = lacc;
-      }
-    } while (
-        advance_outer(plan.out_cards, outer_nd, odometer, row_span, st.offs));
-    KERTBN_ASSERT(o == plan.out_size);
-  }
-  if (max_log == kNegInf) {
-    // Every chain product is an exact zero: the rescaled table is all
-    // zeros and the scale is immaterial.
-    std::fill(out.begin(), out.end(), 0.0);
-    return 0.0;
-  }
-  for (double& v : out) v = std::exp(v - max_log);  // exp(-inf) == +0.0
-  return max_log;
 }
 
 ChainReducePlan make_chain_reduce_plan(std::span<const FlatFactor* const> ops,
@@ -594,6 +501,8 @@ void chain_reduce_into(const ChainReducePlan& plan,
       advance_outer(plan.mid_cards, outer_nd, odometer, row_span, st.offs));
 }
 
+}  // namespace
+
 void apply_evidence(FlatFactor& f, std::size_t var, std::size_t state) {
   const std::size_t dim = find_in(f.scope, var);
   KERTBN_EXPECTS(dim != kNone);
@@ -671,19 +580,6 @@ void FactorWorkspace::build_key(std::span<const FlatFactor* const> ops,
   key_.insert(key_.end(), target.begin(), target.end());
 }
 
-const ProductPlan& FactorWorkspace::product_plan(const FlatFactor& a,
-                                                 const FlatFactor& b) {
-  const FlatFactor* ab[2] = {&a, &b};
-  build_key(ab, {});
-  if (ProductPlan* p = product_plans_.find(key_)) {
-    ++plan_hits_;
-    return *p;
-  }
-  ++plan_misses_;
-  return product_plans_.insert(
-      key_, make_product_plan(a.scope, a.cards, b.scope, b.cards));
-}
-
 const ReducePlan& FactorWorkspace::reduce_plan(
     const FlatFactor& f, std::span<const std::size_t> target) {
   const FlatFactor* fs[1] = {&f};
@@ -721,10 +617,8 @@ const ChainReducePlan& FactorWorkspace::chain_reduce_plan(
 
 void FactorWorkspace::product(const FlatFactor& a, const FlatFactor& b,
                               FlatFactor& out) {
-  const ProductPlan& plan = product_plan(a, b);
-  out.scope = plan.out_scope;
-  out.cards = plan.out_cards;
-  product_into(plan, a.values, b.values, odometer_, out.values);
+  const FlatFactor* factors[1] = {&b};
+  product_chain(a, factors, out);
 }
 
 void FactorWorkspace::product_chain(const FlatFactor& base,
@@ -736,15 +630,6 @@ void FactorWorkspace::product_chain(const FlatFactor& base,
     out.values = base.values;
     return;
   }
-  if (factors.size() == 1) {
-    product(base, *factors[0], out);
-    return;
-  }
-  // Plan-time blocked selection: two or more factors execute as ONE
-  // multi-operand pass. Each output element is a left fold of its aligned
-  // operand entries — bit-identical to the pairwise chain — but the output
-  // is written once and no pairwise intermediate is materialized, so large
-  // products tile through cache instead of streaming the table per pass.
   ops_.clear();
   ops_.push_back(&base);
   ops_.insert(ops_.end(), factors.begin(), factors.end());
@@ -752,18 +637,6 @@ void FactorWorkspace::product_chain(const FlatFactor& base,
   out.scope = plan.out_scope;
   out.cards = plan.out_cards;
   chain_product_into(plan, ops_, odometer_, out.values);
-}
-
-double FactorWorkspace::product_chain_log(
-    const FlatFactor& base, std::span<const FlatFactor* const> factors,
-    FlatFactor& out) {
-  ops_.clear();
-  ops_.push_back(&base);
-  ops_.insert(ops_.end(), factors.begin(), factors.end());
-  const ChainPlan& plan = chain_plan(ops_);  // same cached plans as flat
-  out.scope = plan.out_scope;
-  out.cards = plan.out_cards;
-  return chain_product_log_into(plan, ops_, odometer_, out.values);
 }
 
 void FactorWorkspace::product_chain_reduce(

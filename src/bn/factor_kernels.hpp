@@ -1,16 +1,15 @@
 #pragma once
 /// \file factor_kernels.hpp
-/// Flat factor kernels for the query-serving hot path.
+/// Flat factor kernels: the one factor type (FlatFactor) and the plans the
+/// discrete inference engines run on — the junction tree, variable
+/// elimination and the most probable explanation.
 ///
-/// Factor::product / marginalize are correct but allocate a fresh Factor
-/// and re-derive stride maps on every call — fine for one-shot variable
-/// elimination, ruinous for a junction tree that re-runs the same message
-/// schedule on every evidence change. These kernels split each operation
-/// into a *plan* (alignment and stride tables, a pure function of the two
-/// scopes) and an *execution* (contiguous inner loops over raw value
-/// arrays). A FactorWorkspace caches plans keyed by the scope tuple and
-/// reuses scratch buffers, so a calibrated tree's steady state performs no
-/// allocation and no scope searching at all.
+/// Each operation splits into a *plan* (alignment and stride tables, a
+/// pure function of the operands' scopes and cardinalities) and an
+/// *execution* (contiguous inner loops over raw value arrays). A
+/// FactorWorkspace caches plans keyed by the scope and cardinality tuples
+/// and reuses scratch buffers, so a calibrated tree's steady state performs
+/// no allocation and no scope searching at all.
 ///
 /// Three execution layers sit on top of the plans (see DESIGN "Query
 /// serving" for the full contract):
@@ -21,12 +20,12 @@
 ///     precompute the longest unit-stride innermost run so the vector
 ///     kernels never gather: each operand either streams contiguously or
 ///     broadcasts a constant across the run.
-///   * Blocked chain products — product_chain with two or more factors
-///     executes as ONE multi-operand pass selected at plan time: every
-///     output element is a left-fold of its aligned operand entries,
-///     bit-identical to the pairwise fold but written once, so large CPT
-///     products stream through cache instead of materializing (and
-///     re-reading) each pairwise intermediate.
+///   * One product plan — every product, pairwise or a chain
+///     base × f1 × ... × fk, executes as ONE multi-operand pass of a chain
+///     plan: every output element is a left fold of its aligned operand
+///     entries, written once, so large products stream through cache
+///     instead of materializing (and re-reading) each pairwise
+///     intermediate.
 ///   * Fused product+reduce — the clique→sepset message (product chain
 ///     followed by a sum-out to the separator) runs as a single
 ///     accumulation pass on SIMD tiers: the clique-sized intermediate is
@@ -34,9 +33,9 @@
 ///
 /// Equivalence contract: with the scalar tier active every kernel performs
 /// the same floating-point operations in the same order as the legacy
-/// Factor code it replaces, so scalar inference is bit-identical to the
-/// legacy engines (asserted exactly by the equivalence suites). Products
-/// are single multiplies per element and stay bit-exact on EVERY tier; the
+/// Factor operations (bn/factor.hpp, the reference the tests hold the
+/// kernels to), so scalar inference is bit-identical to them. Products are
+/// single multiplies per element and stay bit-exact on EVERY tier; the
 /// SIMD tiers may re-associate summations (stride-1 eliminations, fused
 /// accumulation), which the suites bound at <= 1e-12 relative error on
 /// posteriors.
@@ -49,8 +48,6 @@
 #include <utility>
 #include <vector>
 
-#include "bn/factor.hpp"
-
 namespace kertbn::bn {
 
 /// Evidence as sorted (node, state) pairs — the hot-path replacement for
@@ -58,62 +55,22 @@ namespace kertbn::bn {
 /// allocation, binary-searchable).
 using SortedEvidence = std::vector<std::pair<std::size_t, std::size_t>>;
 
-/// Lightweight factor for kernel pipelines: the same layout contract as
-/// Factor (values row-major in scope order, first variable most
-/// significant) without per-construction invariant checks, so instances
-/// can be recycled across calibrations.
+/// Discrete factor (potential) over distinct variables: scope variables are
+/// global node indices, values are row-major in scope order (first
+/// variable most significant). No per-construction invariant checks, so
+/// instances can be recycled across calibrations.
 struct FlatFactor {
   std::vector<std::size_t> scope;
   std::vector<std::size_t> cards;
   std::vector<double> values;
 
+  /// Factor of 1 over the empty scope.
   static FlatFactor unit() { return FlatFactor{{}, {}, {1.0}}; }
-  static FlatFactor from(const Factor& f) {
-    return FlatFactor{f.scope(), f.cardinalities(), f.values()};
-  }
-  Factor to_factor() const { return Factor(scope, cards, values); }
 
   std::size_t size() const { return values.size(); }
-  /// Sum of all entries, in storage order (same order as Factor::total).
+  /// Sum of all entries, in storage order.
   double total() const;
 };
-
-/// Precomputed alignment for product(a, b) -> out. The merged scope is a's
-/// variables followed by b's new ones — the exact order Factor::product
-/// uses — so executions are bit-identical to the legacy path.
-///
-/// The trailing `run_dims` output dimensions execute as one inner loop of
-/// `run_len` elements. When `vector_run`, each operand advances by
-/// `run_step_*` ∈ {0, 1} per element over the whole run (broadcast or
-/// contiguous stream) and the loop dispatches to the SIMD chain kernels;
-/// otherwise the run covers the last dimension only with the general
-/// per-element strides in `run_step_*`.
-struct ProductPlan {
-  std::vector<std::size_t> out_scope;
-  std::vector<std::size_t> out_cards;
-  std::size_t out_size = 1;
-  /// Per out-dimension stride into each operand (0 when absent from it).
-  std::vector<std::size_t> stride_a;
-  std::vector<std::size_t> stride_b;
-  std::size_t run_len = 1;
-  std::size_t run_dims = 0;
-  bool vector_run = false;
-  std::size_t run_step_a = 0;
-  std::size_t run_step_b = 0;
-};
-
-ProductPlan make_product_plan(std::span<const std::size_t> scope_a,
-                              std::span<const std::size_t> cards_a,
-                              std::span<const std::size_t> scope_b,
-                              std::span<const std::size_t> cards_b);
-
-/// out[i] = a[align_a(i)] * b[align_b(i)] for every merged-scope index.
-/// Bit-exact on every dispatch tier (single multiplies, no reassociation).
-/// \p odometer is caller-provided scratch (resized internally).
-void product_into(const ProductPlan& plan, std::span<const double> a,
-                  std::span<const double> b,
-                  std::vector<std::size_t>& odometer,
-                  std::vector<double>& out);
 
 /// Precomputed pipeline for "sum out every scope variable not in target".
 /// Variables are eliminated one at a time in scope order — the exact
@@ -147,14 +104,13 @@ ReducePlan make_reduce_plan(std::span<const std::size_t> scope,
 void reduce_into(const ReducePlan& plan, std::span<const double> in,
                  std::vector<double>& scratch, std::vector<double>& out);
 
-/// Multi-operand product plan: out[i] = ops[0][..] * ops[1][..] * ... as a
-/// left fold per element — the "blocked" execution of a product chain.
-/// The merged scope is built by folding operand scopes left to right
-/// (each operand appends its new variables), exactly the scope the
-/// pairwise chain produces, and the per-element left fold performs the
-/// same multiplies in the same order, so results are bit-identical to the
-/// pairwise path on every tier — while the output is written exactly once
-/// and no pairwise intermediate is ever materialized.
+/// Product plan: out[i] = ops[0][..] * ops[1][..] * ... as a left fold per
+/// element, for two or more operands. The merged scope folds operand
+/// scopes left to right (each operand appends its new variables), which is
+/// the scope and value layout of the pairwise chain, and the per-element
+/// left fold performs the same multiplies in the same order, so a chain is
+/// bit-identical to its pairwise products on every tier — while the output
+/// is written exactly once and no pairwise intermediate is materialized.
 struct ChainPlan {
   std::vector<std::size_t> out_scope;
   std::vector<std::size_t> out_cards;
@@ -162,33 +118,18 @@ struct ChainPlan {
   std::size_t nops = 0;
   /// Row-major [op][dim] stride table (0 when the dim is absent from op).
   std::vector<std::size_t> strides;
+  /// The trailing `run_dims` output dimensions execute as one inner loop
+  /// of `run_len` elements.
   std::size_t run_len = 1;
   std::size_t run_dims = 0;
+  /// Whether every operand advances by 0 or 1 per element over the whole
+  /// run (broadcast or contiguous stream), so the run dispatches to the
+  /// SIMD chain kernels.
   bool vector_run = false;
   /// Per-operand per-element step over the run (∈ {0,1} when vector_run,
   /// general strides of the last dim otherwise).
   std::vector<std::size_t> run_steps;
 };
-
-ChainPlan make_chain_plan(std::span<const FlatFactor* const> ops);
-
-void chain_product_into(const ChainPlan& plan,
-                        std::span<const FlatFactor* const> ops,
-                        std::vector<std::size_t>& odometer,
-                        std::vector<double>& out);
-
-/// Log-space execution of the chain product for deep chains: each output
-/// element accumulates std::log of its aligned operand entries, then the
-/// table is rescaled by its maximum log before exponentiation. Returns
-/// log_scale such that the true product is out[i] * exp(log_scale) —
-/// chains deep enough to underflow the flat fold keep their relative
-/// magnitudes here. Scalar accumulation on every tier (a vectorized log
-/// would need a math library the project does not carry); exact zeros
-/// stay exact zeros.
-double chain_product_log_into(const ChainPlan& plan,
-                              std::span<const FlatFactor* const> ops,
-                              std::vector<std::size_t>& odometer,
-                              std::vector<double>& out);
 
 /// Fused product+reduce plan: the merged index space of a product chain
 /// walked once, accumulating each chain product directly into the reduced
@@ -216,14 +157,6 @@ struct ChainReducePlan {
   bool run_eliminated = true;
 };
 
-ChainReducePlan make_chain_reduce_plan(std::span<const FlatFactor* const> ops,
-                                       std::span<const std::size_t> target);
-
-void chain_reduce_into(const ChainReducePlan& plan,
-                       std::span<const FlatFactor* const> ops,
-                       std::vector<std::size_t>& odometer,
-                       std::vector<double>& out);
-
 /// Zeroes every entry of \p f whose state of \p var differs from
 /// \p state. Arithmetic-equivalent to multiplying by an indicator factor
 /// (bit-identical for the non-negative values factors hold: x*1.0 == x and
@@ -231,16 +164,16 @@ void chain_reduce_into(const ChainReducePlan& plan,
 /// keeps every downstream plan evidence-independent.
 void apply_evidence(FlatFactor& f, std::size_t var, std::size_t state);
 
-/// out = Factor::reduce(var, state) of \p f: keeps the slice where
-/// var == state (relative order kept) and drops var from the scope. Pure
-/// data movement (bit-exact on every tier). \p out may be \p f itself.
-/// Junction-tree reads slice a clique's own evidence out of its belief
-/// with this.
+/// out = \p f restricted to var == state: keeps that slice (relative order
+/// kept) and drops var from the scope. Pure data movement (bit-exact on
+/// every tier). \p out may be \p f itself. Junction-tree reads slice a
+/// clique's own evidence out of its belief with this.
 void reduce_evidence(const FlatFactor& f, std::size_t var, std::size_t state,
                      FlatFactor& out);
 
-/// In-place reduce_evidence: the eager-evidence path of variable
-/// elimination runs on this.
+/// In-place reduce_evidence: the eager evidence of variable elimination
+/// and the most probable explanation, and the latter's traceback, run on
+/// this.
 void reduce_evidence(FlatFactor& f, std::size_t var, std::size_t state);
 
 /// Open-addressing plan cache with stable plan addresses. Keys are
@@ -343,28 +276,16 @@ class PlanCache {
 /// one workspace per worker (QueryEngine hands each pool worker its own).
 class FactorWorkspace {
  public:
-  /// out = a × b (merged scope, legacy order). out must not alias a or b.
+  /// out = a × b: the merged scope is a's variables, then b's new ones.
+  /// Runs the two-operand chain plan. out must not alias a or b.
   void product(const FlatFactor& a, const FlatFactor& b, FlatFactor& out);
 
-  /// out = base × factors[0] × factors[1] × ... (left fold, the order
-  /// product_with_messages uses). out must not alias any input. Two or
-  /// more factors execute through the blocked multi-operand ChainPlan
-  /// (bit-identical per element, output written once); a single factor
-  /// keeps the pairwise flat path.
+  /// out = base × factors[0] × factors[1] × ... as a left fold, in one
+  /// pass of the chain plan of (base, factors...); an empty chain copies
+  /// base. out must not alias any input.
   void product_chain(const FlatFactor& base,
                      std::span<const FlatFactor* const> factors,
                      FlatFactor& out);
-
-  /// Opt-in deep-chain guard: out = (base × factors...) computed in log
-  /// space and rescaled by its maximum element; returns log_scale such
-  /// that the true product is out * exp(log_scale). Nothing in the
-  /// serving path routes here by default — posteriors normalize away the
-  /// scale and the flat fold is exact — but a caller folding hundreds of
-  /// sub-unit tables (repeated-normalization territory) can switch to
-  /// this path to keep relative magnitudes at ~1 ulp-per-term cost.
-  double product_chain_log(const FlatFactor& base,
-                           std::span<const FlatFactor* const> factors,
-                           FlatFactor& out);
 
   /// out = (base × factors...) with every variable outside \p target
   /// summed out — the clique→sepset message. On SIMD tiers this fuses into
@@ -388,7 +309,6 @@ class FactorWorkspace {
   std::size_t plan_misses() const { return plan_misses_; }
 
  private:
-  const ProductPlan& product_plan(const FlatFactor& a, const FlatFactor& b);
   const ChainPlan& chain_plan(std::span<const FlatFactor* const> ops);
   const ChainReducePlan& chain_reduce_plan(
       std::span<const FlatFactor* const> ops,
@@ -399,7 +319,6 @@ class FactorWorkspace {
   void build_key(std::span<const FlatFactor* const> ops,
                  std::span<const std::size_t> target);
 
-  PlanCache<ProductPlan> product_plans_;
   PlanCache<ReducePlan> reduce_plans_;
   PlanCache<ChainPlan> chain_plans_;
   PlanCache<ChainReducePlan> chain_reduce_plans_;
@@ -407,7 +326,6 @@ class FactorWorkspace {
   std::vector<const FlatFactor*> ops_;        // operand-list scratch
   std::vector<std::size_t> odometer_;
   std::vector<double> scratch_;
-  FlatFactor chain_tmp_[2];
   FlatFactor fused_tmp_;  // scalar-tier staging for product_chain_reduce
   std::size_t plan_hits_ = 0;
   std::size_t plan_misses_ = 0;

@@ -142,7 +142,6 @@ void QueryEngine::adopt(Worker& w,
     // Copying the warm tree clones the cached no-evidence calibration, so
     // the worker starts with every plan and message already in place.
     w.tree.emplace(*snapshot->prior_tree);
-    w.tree->set_incremental(config_.incremental_recalibration);
     // The copy carries the source tree's plan-cache counters; rebase the
     // harvest watermarks so the next batch reports only this worker's work.
     w.plan_hits_seen = w.tree->plan_hits();

@@ -238,9 +238,6 @@ class QueryEngine {
     const SnapshotSlot* slot = nullptr;
     /// Fan batches across this pool (non-owning; nullptr = serial).
     ThreadPool* pool = nullptr;
-    /// Reuse the cached no-evidence calibration for clean subtrees
-    /// (JunctionTree::set_incremental). Off = legacy full recalibration.
-    bool incremental_recalibration = true;
     /// Route a posterior query through pruned variable elimination when
     /// the relevant subnetwork holds at most `prune_threshold` of the
     /// nodes.

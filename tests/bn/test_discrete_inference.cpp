@@ -3,10 +3,16 @@
 #include <gtest/gtest.h>
 
 #include "bn/tabular_cpd.hpp"
+#include "common/cpu_features.hpp"
 #include "common/rng.hpp"
+#include "support/fnv1a.hpp"
+#include "support/networks.hpp"
+#include "support/simd_tiers.hpp"
 
 namespace kertbn::bn {
 namespace {
+
+using test_support::fnv1a_of;
 
 /// The classic sprinkler network: Cloudy -> Sprinkler, Cloudy -> Rain,
 /// (Sprinkler, Rain) -> WetGrass. Known exact posteriors.
@@ -85,16 +91,20 @@ TEST(VariableElimination, EvidenceProbability) {
   EXPECT_NEAR(ve.evidence_probability({{3, 1}}), p_wet, 1e-12);
 }
 
-TEST(VariableElimination, JointPosteriorConsistentWithMarginals) {
+/// A posterior is the elimination result divided by its total: each entry
+/// is P(query = s, e) / P(e).
+TEST(VariableElimination, PosteriorIsJointOverEvidenceProbability) {
   const BayesianNetwork net = sprinkler();
   const VariableElimination ve(net);
-  const std::vector<std::size_t> queries{1, 2};
-  const Factor joint = ve.joint_posterior(queries, {{3, 1}});
-  // Marginalizing the joint must reproduce the single-variable posteriors.
-  const Factor ms = joint.marginalize(2);
-  const auto ps = ve.posterior(1, {{3, 1}});
-  const std::size_t s1[] = {1};
-  EXPECT_NEAR(ms.at(s1), ps[1], 1e-12);
+  const DiscreteEvidence wet{{3, 1}};
+  const auto post = ve.posterior(2, wet);
+  ASSERT_EQ(post.size(), 2u);
+  EXPECT_NEAR(post[0] + post[1], 1.0, 1e-15);
+  const double p_wet = ve.evidence_probability(wet);
+  for (std::size_t s = 0; s < 2; ++s) {
+    EXPECT_NEAR(post[s], ve.evidence_probability({{2, s}, {3, 1}}) / p_wet,
+                1e-12);
+  }
 }
 
 TEST(VariableElimination, AgreesWithForwardSamplingOnRandomNetwork) {
@@ -144,15 +154,63 @@ TEST(VariableElimination, AgreesWithForwardSamplingOnRandomNetwork) {
   EXPECT_NEAR(exact[1], hits / double(accepted), 0.02);
 }
 
-TEST(PosteriorMeanState, WeightsStates) {
-  EXPECT_DOUBLE_EQ(posterior_mean_state({0.5, 0.5}), 0.5);
-  EXPECT_DOUBLE_EQ(posterior_mean_state({0.0, 0.0, 1.0}), 2.0);
-}
-
 TEST(VariableElimination, RejectsContinuousNetworks) {
   BayesianNetwork net;
   net.add_node(Variable::continuous("x"));
   EXPECT_DEATH(VariableElimination ve(net), "precondition");
+}
+
+/// Evidence on a node the network does not have, or in a state its node
+/// does not have, is a contract failure, not a silent prior.
+TEST(VariableElimination, RejectsEvidenceOutsideTheNetwork) {
+  const BayesianNetwork net = sprinkler();
+  const VariableElimination ve(net);
+  EXPECT_DEATH(ve.posterior(1, {{5, 0}}), "precondition");
+  EXPECT_DEATH(ve.posterior(1, {{3, 2}}), "precondition");
+  EXPECT_DEATH(ve.evidence_probability({{4, 1}}), "precondition");
+}
+
+/// Pins every posterior and P(e) variable elimination returns on seeded
+/// random networks and on the 3- and 4-bin eDiaMoND KERT-BN. Products are
+/// bit-exact on every tier, and no node here has the 16 or more states a
+/// re-associating sum needs, so the digest holds on every tier.
+TEST(VariableElimination, AnswersArePinnedOnEveryTier) {
+  test_support::TierGuard guard;
+  std::vector<BayesianNetwork> nets;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    nets.push_back(test_support::random_network(10, seed));
+  }
+  nets.push_back(test_support::ediamond_kert(3));
+  nets.push_back(test_support::ediamond_kert(4));
+  for (simd::Tier tier : test_support::runnable_tiers()) {
+    simd::set_active_tier(tier);
+    std::uint64_t h = test_support::kFnvOffset;
+    for (std::size_t k = 0; k < nets.size(); ++k) {
+      const BayesianNetwork& net = nets[k];
+      const VariableElimination ve(net);
+      kertbn::Rng rng(1000 + k);
+      // No evidence, the last node alone (D in eDiaMoND), then two and
+      // three random nodes.
+      for (std::size_t round = 0; round < 4; ++round) {
+        DiscreteEvidence ev;
+        if (round == 1) {
+          const std::size_t last = net.size() - 1;
+          ev[last] = rng.uniform_index(net.variable(last).cardinality);
+        }
+        for (std::size_t v : rng.permutation(net.size())) {
+          if (round < 2 || ev.size() >= round) break;
+          ev[v] = rng.uniform_index(net.variable(v).cardinality);
+        }
+        if (!ev.empty()) h = fnv1a_of(ve.evidence_probability(ev), h);
+        for (std::size_t v = 0; v < net.size(); ++v) {
+          if (ev.contains(v)) continue;
+          for (double x : ve.posterior(v, ev)) h = fnv1a_of(x, h);
+        }
+      }
+    }
+    EXPECT_EQ(h, 0x477569ceb0f5aa01ull)
+        << simd::to_string(tier) << std::hex << " digest 0x" << h;
+  }
 }
 
 }  // namespace

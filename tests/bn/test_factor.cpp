@@ -98,14 +98,6 @@ TEST(Factor, ReduceDropsVariable) {
   EXPECT_DOUBLE_EQ(r.at(s1), 0.4);
 }
 
-TEST(Factor, NormalizedSumsToOne) {
-  const Factor f({0}, {3}, {1.0, 2.0, 5.0});
-  const Factor n = f.normalized();
-  EXPECT_NEAR(n.total(), 1.0, 1e-12);
-  const std::size_t s2[] = {2};
-  EXPECT_NEAR(n.at(s2), 0.625, 1e-12);
-}
-
 TEST(Factor, MarginalizeThenReduceCommutesWithReduceThenMarginalize) {
   // On disjoint variables the two operations commute.
   std::vector<double> values(8);

@@ -4,31 +4,15 @@
 
 #include "bn/factor.hpp"
 #include "common/rng.hpp"
+#include "support/factors.hpp"
 
 namespace kertbn::bn {
 namespace {
 
-/// Random factor over the given scope with values in (0.05, 1].
-Factor random_factor(const std::vector<std::size_t>& scope,
-                     const std::vector<std::size_t>& cards, kertbn::Rng& rng) {
-  std::size_t size = 1;
-  for (std::size_t c : cards) size *= c;
-  std::vector<double> values;
-  values.reserve(size);
-  for (std::size_t i = 0; i < size; ++i) {
-    values.push_back(rng.uniform(0.05, 1.0));
-  }
-  return Factor(scope, cards, values);
-}
-
-void expect_bitwise_equal(const Factor& legacy, const FlatFactor& flat) {
-  ASSERT_EQ(legacy.scope(), flat.scope);
-  ASSERT_EQ(legacy.cardinalities(), flat.cards);
-  ASSERT_EQ(legacy.values().size(), flat.values.size());
-  for (std::size_t i = 0; i < flat.values.size(); ++i) {
-    EXPECT_EQ(legacy.values()[i], flat.values[i]) << "entry " << i;
-  }
-}
+using test_support::expect_bitwise_equal;
+using test_support::random_factor;
+using test_support::to_factor;
+using test_support::to_flat;
 
 TEST(FactorKernels, ProductBitwiseMatchesLegacyFactor) {
   kertbn::Rng rng(101);
@@ -39,7 +23,7 @@ TEST(FactorKernels, ProductBitwiseMatchesLegacyFactor) {
     const Factor b = random_factor({5, 1, 2}, {2, 2, 3}, rng);
     const Factor legacy = a.product(b);
     FlatFactor out;
-    ws.product(FlatFactor::from(a), FlatFactor::from(b), out);
+    ws.product(to_flat(a), to_flat(b), out);
     expect_bitwise_equal(legacy, out);
   }
 }
@@ -50,14 +34,14 @@ TEST(FactorKernels, ProductWithDisjointAndScalarOperands) {
   const Factor a = random_factor({3, 7}, {2, 3}, rng);
   const Factor b = random_factor({1}, {4}, rng);
   FlatFactor out;
-  ws.product(FlatFactor::from(a), FlatFactor::from(b), out);
+  ws.product(to_flat(a), to_flat(b), out);
   expect_bitwise_equal(a.product(b), out);
 
   // Scalar (empty-scope) operand on either side.
   const Factor unit({}, {}, {0.75});
-  ws.product(FlatFactor::from(a), FlatFactor::from(unit), out);
+  ws.product(to_flat(a), to_flat(unit), out);
   expect_bitwise_equal(a.product(unit), out);
-  ws.product(FlatFactor::from(unit), FlatFactor::from(a), out);
+  ws.product(to_flat(unit), to_flat(a), out);
   expect_bitwise_equal(unit.product(a), out);
 }
 
@@ -70,10 +54,10 @@ TEST(FactorKernels, ProductChainMatchesLeftFoldOfLegacyProducts) {
   const Factor f3 = random_factor({2}, {3}, rng);
   const Factor legacy = base.product(f1).product(f2).product(f3);
 
-  const FlatFactor fb = FlatFactor::from(base);
-  const FlatFactor ff1 = FlatFactor::from(f1);
-  const FlatFactor ff2 = FlatFactor::from(f2);
-  const FlatFactor ff3 = FlatFactor::from(f3);
+  const FlatFactor fb = to_flat(base);
+  const FlatFactor ff1 = to_flat(f1);
+  const FlatFactor ff2 = to_flat(f2);
+  const FlatFactor ff3 = to_flat(f3);
   const FlatFactor* chain[] = {&ff1, &ff2, &ff3};
   FlatFactor out;
   ws.product_chain(fb, chain, out);
@@ -93,12 +77,12 @@ TEST(FactorKernels, ReduceBitwiseMatchesRepeatedMarginalize) {
     // repeatedly (the marginalize_to loop).
     Factor legacy = f.marginalize(0).marginalize(2).marginalize(3);
     FlatFactor out;
-    ws.reduce(FlatFactor::from(f), std::vector<std::size_t>{1}, out);
+    ws.reduce(to_flat(f), std::vector<std::size_t>{1}, out);
     expect_bitwise_equal(legacy, out);
 
     // Multi-variable target, single elimination step.
     Factor legacy2 = f.marginalize(1);
-    ws.reduce(FlatFactor::from(f), std::vector<std::size_t>{0, 2, 3}, out);
+    ws.reduce(to_flat(f), std::vector<std::size_t>{0, 2, 3}, out);
     expect_bitwise_equal(legacy2, out);
   }
 }
@@ -108,7 +92,7 @@ TEST(FactorKernels, ReduceToFullScopeCopies) {
   FactorWorkspace ws;
   const Factor f = random_factor({4, 9}, {3, 2}, rng);
   FlatFactor out;
-  ws.reduce(FlatFactor::from(f), std::vector<std::size_t>{4, 9}, out);
+  ws.reduce(to_flat(f), std::vector<std::size_t>{4, 9}, out);
   expect_bitwise_equal(f, out);
 }
 
@@ -125,7 +109,7 @@ TEST(FactorKernels, ApplyEvidenceBitwiseMatchesIndicatorProduct) {
     const Factor legacy =
         f.product(Factor({f.scope()[var]}, {card}, indicator));
 
-    FlatFactor flat = FlatFactor::from(f);
+    FlatFactor flat = to_flat(f);
     apply_evidence(flat, f.scope()[var], state);
     expect_bitwise_equal(legacy, flat);
   }
@@ -146,7 +130,7 @@ TEST(FactorKernels, EvidenceSliceBitwiseMatchesLegacyReduce) {
       scope.push_back((7 * i + 3) % 11);  // ids out of scope order
     }
     const Factor f = random_factor(scope, cards, rng);
-    const FlatFactor flat = FlatFactor::from(f);
+    const FlatFactor flat = to_flat(f);
     FlatFactor out = FlatFactor::unit();  // reused across slices
     for (std::size_t d = 0; d < scope.size(); ++d) {
       for (std::size_t state = 0; state < cards[d]; ++state) {
@@ -166,8 +150,8 @@ TEST(FactorWorkspaceCache, PlansAreReusedAcrossCalls) {
   FactorWorkspace ws;
   const Factor a = random_factor({0, 1}, {2, 3}, rng);
   const Factor b = random_factor({1, 2}, {3, 2}, rng);
-  const FlatFactor fa = FlatFactor::from(a);
-  const FlatFactor fb = FlatFactor::from(b);
+  const FlatFactor fa = to_flat(a);
+  const FlatFactor fb = to_flat(b);
   FlatFactor out;
 
   ws.product(fa, fb, out);
@@ -197,7 +181,7 @@ TEST(FactorWorkspaceCache, EqualScopesWithOtherCardinalitiesGetOwnPlans) {
     const Factor a = random_factor({0, 1}, {c[0], c[1]}, rng);
     const Factor b = random_factor({1, 2}, {c[1], c[2]}, rng);
     FlatFactor product;
-    ws.product(FlatFactor::from(a), FlatFactor::from(b), product);
+    ws.product(to_flat(a), to_flat(b), product);
     const Factor legacy = a.product(b);
     expect_bitwise_equal(legacy, product);
 
@@ -211,11 +195,29 @@ TEST(FactorWorkspaceCache, EqualScopesWithOtherCardinalitiesGetOwnPlans) {
   EXPECT_EQ(ws.plan_hits(), 2u);
 }
 
+// A product and a two-operand chain over the same factors are one plan:
+// the second call finds the plan the first one built.
+TEST(FactorWorkspaceCache, ProductAndTwoOperandChainShareOnePlan) {
+  kertbn::Rng rng(110);
+  FactorWorkspace ws;
+  const FlatFactor a = to_flat(random_factor({0, 1}, {2, 3}, rng));
+  const FlatFactor b = to_flat(random_factor({1, 2}, {3, 2}, rng));
+  FlatFactor product;
+  FlatFactor chained;
+  ws.product(a, b, product);
+  const FlatFactor* chain[] = {&b};
+  ws.product_chain(a, chain, chained);
+  EXPECT_EQ(ws.plan_misses(), 1u);
+  EXPECT_EQ(ws.plan_hits(), 1u);
+  EXPECT_EQ(product.scope, chained.scope);
+  EXPECT_EQ(product.values, chained.values);
+}
+
 TEST(FactorKernels, RoundTripThroughFactor) {
   kertbn::Rng rng(108);
   const Factor f = random_factor({2, 4}, {3, 2}, rng);
-  const FlatFactor flat = FlatFactor::from(f);
-  expect_bitwise_equal(flat.to_factor(), flat);
+  const FlatFactor flat = to_flat(f);
+  expect_bitwise_equal(to_factor(flat), flat);
   EXPECT_EQ(flat.total(), f.total());
 }
 

@@ -6,15 +6,20 @@
 #include <bit>
 
 #include "bn/discrete_inference.hpp"
+#include "bn/factor.hpp"
 #include "bn/learning.hpp"
 #include "bn/tabular_cpd.hpp"
 #include "common/rng.hpp"
 #include "kert/kert_builder.hpp"
 #include "sosim/synthetic.hpp"
+#include "support/networks.hpp"
 #include "support/simd_tiers.hpp"
 
 namespace kertbn::bn {
 namespace {
+
+using test_support::ediamond_kert;
+using test_support::random_network;
 
 /// The sprinkler network (same parameterization as the VE tests).
 BayesianNetwork sprinkler() {
@@ -35,40 +40,6 @@ BayesianNetwork sprinkler() {
   net.set_cpd(w, std::make_unique<TabularCpd>(TabularCpd(
                      2, {2, 2},
                      {1.0, 0.0, 0.1, 0.9, 0.1, 0.9, 0.01, 0.99})));
-  return net;
-}
-
-/// Random discrete network over a random DAG with random CPTs.
-BayesianNetwork random_network(std::size_t n, std::uint64_t seed) {
-  kertbn::Rng rng(seed);
-  BayesianNetwork net;
-  for (std::size_t i = 0; i < n; ++i) {
-    net.add_node(Variable::discrete("v" + std::to_string(i),
-                                    2 + rng.uniform_index(2)));
-  }
-  // Random forward edges, capped in-degree.
-  for (std::size_t v = 1; v < n; ++v) {
-    const std::size_t max_parents = std::min<std::size_t>(v, 3);
-    const std::size_t k = rng.uniform_index(max_parents + 1);
-    auto perm = rng.permutation(v);
-    for (std::size_t i = 0; i < k; ++i) net.add_edge(perm[i], v);
-  }
-  for (std::size_t v = 0; v < n; ++v) {
-    std::size_t configs = 1;
-    std::vector<std::size_t> cards;
-    for (std::size_t p : net.dag().parents(v)) {
-      cards.push_back(net.variable(p).cardinality);
-      configs *= net.variable(p).cardinality;
-    }
-    const std::size_t card = net.variable(v).cardinality;
-    std::vector<double> table;
-    table.reserve(configs * card);
-    for (std::size_t c = 0; c < configs * card; ++c) {
-      table.push_back(rng.uniform(0.05, 1.0));
-    }
-    net.set_cpd(v, std::make_unique<TabularCpd>(
-                       TabularCpd(card, cards, table)));
-  }
   return net;
 }
 
@@ -235,15 +206,6 @@ std::size_t first_bit_difference(const std::vector<double>& a,
   return std::string::npos;
 }
 
-BayesianNetwork ediamond_kert(std::size_t bins) {
-  sim::SyntheticEnvironment env = sim::make_ediamond_environment();
-  kertbn::Rng rng(42);
-  const bn::Dataset train = env.generate(400, rng);
-  const core::DatasetDiscretizer disc(train, bins);
-  return core::construct_kert_discrete(env.workflow(), env.sharing(), disc,
-                                       disc.discretize(train))
-      .net;
-}
 
 /// Clique potentials are built on the flat kernels from the CPT tables; the
 /// scope, the multiplies and so every bit must equal the legacy Factor

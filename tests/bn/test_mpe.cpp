@@ -4,10 +4,16 @@
 
 #include "bn/discrete_inference.hpp"
 #include "bn/tabular_cpd.hpp"
+#include "common/cpu_features.hpp"
 #include "common/rng.hpp"
+#include "support/fnv1a.hpp"
+#include "support/networks.hpp"
+#include "support/simd_tiers.hpp"
 
 namespace kertbn::bn {
 namespace {
+
+using test_support::fnv1a_of;
 
 /// Brute-force MPE oracle: enumerate every full assignment.
 MpeResult brute_force_mpe(const BayesianNetwork& net,
@@ -57,36 +63,6 @@ MpeResult brute_force_mpe(const BayesianNetwork& net,
   return best;
 }
 
-BayesianNetwork random_discrete(std::size_t n, std::uint64_t seed) {
-  kertbn::Rng rng(seed);
-  BayesianNetwork net;
-  for (std::size_t i = 0; i < n; ++i) {
-    net.add_node(Variable::discrete("v" + std::to_string(i),
-                                    2 + rng.uniform_index(2)));
-  }
-  for (std::size_t v = 1; v < n; ++v) {
-    const std::size_t k = rng.uniform_index(std::min<std::size_t>(v, 2) + 1);
-    auto perm = rng.permutation(v);
-    for (std::size_t i = 0; i < k; ++i) net.add_edge(perm[i], v);
-  }
-  for (std::size_t v = 0; v < n; ++v) {
-    std::size_t configs = 1;
-    std::vector<std::size_t> cards;
-    for (std::size_t p : net.dag().parents(v)) {
-      cards.push_back(net.variable(p).cardinality);
-      configs *= net.variable(p).cardinality;
-    }
-    const std::size_t card = net.variable(v).cardinality;
-    std::vector<double> table;
-    for (std::size_t c = 0; c < configs * card; ++c) {
-      table.push_back(rng.uniform(0.05, 1.0));
-    }
-    net.set_cpd(v, std::make_unique<TabularCpd>(
-                       TabularCpd(card, cards, table)));
-  }
-  return net;
-}
-
 TEST(Mpe, SingleNodePicksModalState) {
   BayesianNetwork net;
   net.add_node(Variable::discrete("a", 3));
@@ -134,7 +110,7 @@ TEST(Mpe, RespectsEvidence) {
 class MpeRandom : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(MpeRandom, MatchesBruteForceOracle) {
-  const BayesianNetwork net = random_discrete(6, GetParam());
+  const BayesianNetwork net = test_support::random_network(6, GetParam(), 2);
   kertbn::Rng rng(GetParam() + 500);
   DiscreteEvidence evidence;
   const std::size_t e = rng.uniform_index(net.size());
@@ -165,6 +141,63 @@ TEST_P(MpeRandom, MatchesBruteForceOracle) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MpeRandom,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
+
+/// Evidence on a node the network does not have, or in a state its node
+/// does not have, is a contract failure.
+TEST(Mpe, RejectsEvidenceOutsideTheNetwork) {
+  BayesianNetwork net;
+  net.add_node(Variable::discrete("a", 2));
+  net.add_node(Variable::discrete("b", 2));
+  net.add_edge(0, 1);
+  net.set_cpd(0, std::make_unique<TabularCpd>(TabularCpd(2, {}, {0.4, 0.6})));
+  net.set_cpd(1, std::make_unique<TabularCpd>(
+                     TabularCpd(2, {2}, {0.95, 0.05, 0.5, 0.5})));
+  EXPECT_DEATH(most_probable_explanation(net, {{5, 0}}), "precondition");
+  EXPECT_DEATH(most_probable_explanation(net, {{1, 2}}), "precondition");
+}
+
+/// Pins every state and log-probability of the MPE on seeded random
+/// networks and on the 3- and 4-bin eDiaMoND KERT-BN, on every tier: the
+/// elimination multiplies, maxes and moves values, all exact.
+TEST(Mpe, AssignmentsArePinnedOnEveryTier) {
+  test_support::TierGuard guard;
+  std::vector<BayesianNetwork> nets;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    nets.push_back(test_support::random_network(10, seed));
+  }
+  nets.push_back(test_support::ediamond_kert(3));
+  nets.push_back(test_support::ediamond_kert(4));
+  for (simd::Tier tier : test_support::runnable_tiers()) {
+    simd::set_active_tier(tier);
+    std::uint64_t h = test_support::kFnvOffset;
+    for (std::size_t k = 0; k < nets.size(); ++k) {
+      const BayesianNetwork& net = nets[k];
+      kertbn::Rng rng(2000 + k);
+      // No evidence, every state of the last node (D in eDiaMoND), then
+      // two random nodes.
+      std::vector<DiscreteEvidence> evidence(1);
+      const std::size_t last = net.size() - 1;
+      for (std::size_t s = 0; s < net.variable(last).cardinality; ++s) {
+        evidence.push_back({{last, s}});
+      }
+      DiscreteEvidence pair;
+      for (std::size_t v : rng.permutation(net.size())) {
+        if (pair.size() == 2) break;
+        pair[v] = rng.uniform_index(net.variable(v).cardinality);
+      }
+      evidence.push_back(pair);
+      for (const DiscreteEvidence& ev : evidence) {
+        const MpeResult r = most_probable_explanation(net, ev);
+        for (std::size_t s : r.states) {
+          h = fnv1a_of(static_cast<std::uint64_t>(s), h);
+        }
+        h = fnv1a_of(r.log_probability, h);
+      }
+    }
+    EXPECT_EQ(h, 0xb2b56af29f45b7d0ull)
+        << simd::to_string(tier) << std::hex << " digest 0x" << h;
+  }
+}
 
 }  // namespace
 }  // namespace kertbn::bn

@@ -27,27 +27,19 @@
 #include "bn/factor_simd.hpp"
 #include "common/cpu_features.hpp"
 #include "common/rng.hpp"
+#include "support/factors.hpp"
 #include "support/simd_tiers.hpp"
 
 namespace kertbn::bn {
 namespace {
 
+using test_support::expect_bitwise_equal;
+using test_support::random_factor;
 using test_support::runnable_tiers;
 using test_support::TierGuard;
+using test_support::to_flat;
 
 namespace sk = simd_kernels;
-
-Factor random_factor(const std::vector<std::size_t>& scope,
-                     const std::vector<std::size_t>& cards, kertbn::Rng& rng) {
-  std::size_t size = 1;
-  for (std::size_t c : cards) size *= c;
-  std::vector<double> values;
-  values.reserve(size);
-  for (std::size_t i = 0; i < size; ++i) {
-    values.push_back(rng.uniform(0.05, 1.0));
-  }
-  return Factor(scope, cards, values);
-}
 
 /// Adversarial cardinality universe: 1s, odd primes, and >=16 so the
 /// wide-hsum path engages. Factors sharing a variable must agree on its
@@ -84,16 +76,6 @@ Factor random_shape(kertbn::Rng& rng,
     cards.push_back(universe[vars[0]]);
   }
   return random_factor(scope, cards, rng);
-}
-
-void expect_bitwise_equal(const Factor& legacy, const FlatFactor& flat,
-                          const char* what) {
-  ASSERT_EQ(legacy.scope(), flat.scope) << what;
-  ASSERT_EQ(legacy.cardinalities(), flat.cards) << what;
-  ASSERT_EQ(legacy.values().size(), flat.values.size()) << what;
-  for (std::size_t i = 0; i < flat.values.size(); ++i) {
-    ASSERT_EQ(legacy.values()[i], flat.values[i]) << what << " entry " << i;
-  }
 }
 
 void expect_close(const std::vector<double>& want,
@@ -268,8 +250,8 @@ TEST(SimdKernels, PairwiseProductsBitExactOnEveryTierOverSeededShapes) {
     const Factor a = random_shape(rng, universe);
     const Factor b = random_shape(rng, universe);
     const Factor legacy = a.product(b);
-    const FlatFactor fa = FlatFactor::from(a);
-    const FlatFactor fb = FlatFactor::from(b);
+    const FlatFactor fa = to_flat(a);
+    const FlatFactor fb = to_flat(b);
     for (simd::Tier tier : runnable_tiers()) {
       simd::set_active_tier(tier);
       FlatFactor out;
@@ -294,9 +276,9 @@ TEST(SimdKernels, ChainProductsBitExactOnEveryTierOverSeededShapes) {
     Factor legacy = base;
     for (const Factor& f : fs) legacy = legacy.product(f);
 
-    const FlatFactor fb = FlatFactor::from(base);
+    const FlatFactor fb = to_flat(base);
     std::vector<FlatFactor> flats;
-    for (const Factor& f : fs) flats.push_back(FlatFactor::from(f));
+    for (const Factor& f : fs) flats.push_back(to_flat(f));
     std::vector<const FlatFactor*> chain;
     for (const FlatFactor& f : flats) chain.push_back(&f);
 
@@ -324,7 +306,7 @@ TEST(SimdKernels, ReduceScalarBitExactSimdWithinToleranceOverSeededShapes) {
       target.pop_back();
     }
     const Factor legacy = legacy_reduce(f, target);
-    const FlatFactor ff = FlatFactor::from(f);
+    const FlatFactor ff = to_flat(f);
     for (simd::Tier tier : runnable_tiers()) {
       simd::set_active_tier(tier);
       FlatFactor out;
@@ -360,9 +342,9 @@ TEST(SimdKernels, FusedChainReduceMatchesTwoStepOnEveryTier) {
     }
     const Factor legacy = legacy_reduce(joint, target);
 
-    const FlatFactor fb = FlatFactor::from(base);
+    const FlatFactor fb = to_flat(base);
     std::vector<FlatFactor> flats;
-    for (const Factor& f : fs) flats.push_back(FlatFactor::from(f));
+    for (const Factor& f : fs) flats.push_back(to_flat(f));
     std::vector<const FlatFactor*> chain;
     for (const FlatFactor& f : flats) chain.push_back(&f);
 
@@ -392,8 +374,8 @@ TEST(SimdKernels, PlansSurviveTierSwitchesMidRun) {
   const Factor a = random_factor({0, 1, 2}, {3, 17, 2}, rng);
   const Factor b = random_factor({2, 3}, {2, 16}, rng);
   const Factor legacy = a.product(b);
-  const FlatFactor fa = FlatFactor::from(a);
-  const FlatFactor fb = FlatFactor::from(b);
+  const FlatFactor fa = to_flat(a);
+  const FlatFactor fb = to_flat(b);
   FlatFactor out;
   for (simd::Tier tier : runnable_tiers()) {
     simd::set_active_tier(tier);
@@ -401,64 +383,6 @@ TEST(SimdKernels, PlansSurviveTierSwitchesMidRun) {
     expect_bitwise_equal(legacy, out, simd::to_string(tier));
   }
   EXPECT_GE(ws.plan_hits(), runnable_tiers().size() - 1);
-}
-
-TEST(SimdKernels, LogSpaceChainMatchesFlatAndResistsUnderflow) {
-  TierGuard guard;
-  kertbn::Rng rng(9107);
-  FactorWorkspace ws;
-
-  // Moderate chain: log path agrees with the flat fold within the
-  // ~1 ulp-per-term transcendental budget, on every tier.
-  {
-    const std::vector<std::size_t> universe = random_universe(rng);
-    const Factor base = random_shape(rng, universe, 3);
-    std::vector<Factor> fs;
-    for (int i = 0; i < 3; ++i) fs.push_back(random_shape(rng, universe, 3));
-    const FlatFactor fb = FlatFactor::from(base);
-    std::vector<FlatFactor> flats;
-    for (const Factor& f : fs) flats.push_back(FlatFactor::from(f));
-    std::vector<const FlatFactor*> chain;
-    for (const FlatFactor& f : flats) chain.push_back(&f);
-    for (simd::Tier tier : runnable_tiers()) {
-      simd::set_active_tier(tier);
-      FlatFactor flat, logged;
-      ws.product_chain(fb, chain, flat);
-      const double scale = ws.product_chain_log(fb, chain, logged);
-      ASSERT_EQ(flat.scope, logged.scope);
-      std::vector<double> rescaled(logged.values);
-      for (double& v : rescaled) v *= std::exp(scale);
-      expect_close(flat.values, rescaled, 1e-12, simd::to_string(tier));
-    }
-  }
-
-  // Deep chain of sub-unit tables: the flat fold underflows to +0.0,
-  // the log path keeps the relative magnitudes.
-  {
-    kertbn::Rng deep_rng(424242);
-    const Factor tiny = random_factor({0}, {3}, deep_rng);
-    std::vector<double> small;
-    for (double v : tiny.values()) small.push_back(v * 1e-4);
-    const FlatFactor op{{0}, {3}, small};
-    std::vector<const FlatFactor*> chain(120, &op);
-    FlatFactor flat, logged;
-    ws.product_chain(op, chain, flat);
-    for (double v : flat.values) EXPECT_EQ(v, 0.0);  // underflowed
-    const double scale = ws.product_chain_log(op, chain, logged);
-    EXPECT_LT(scale, 0.0);
-    double top = 0.0;
-    for (double v : logged.values) {
-      EXPECT_TRUE(std::isfinite(v));
-      top = std::max(top, v);
-    }
-    EXPECT_EQ(top, 1.0);  // rescaled by its own maximum
-    // Relative magnitudes survive: ratio of entries == ratio of the
-    // 121st powers of the inputs, compared in log space.
-    const double want =
-        121.0 * (std::log(small[1]) - std::log(small[0]));
-    const double got = std::log(logged.values[1]) - std::log(logged.values[0]);
-    EXPECT_NEAR(want, got, 1e-9);
-  }
 }
 
 // --- evidence ops ------------------------------------------------------------
@@ -475,11 +399,11 @@ TEST(SimdKernels, EvidenceOpsBitExactOnEveryTier) {
     for (simd::Tier tier : runnable_tiers()) {
       simd::set_active_tier(tier);
       // reduce_evidence == Factor::reduce (drops the variable).
-      FlatFactor g = FlatFactor::from(f);
+      FlatFactor g = to_flat(f);
       reduce_evidence(g, var, state);
       expect_bitwise_equal(sliced, g, "reduce_evidence");
       // apply_evidence keeps the dimension and zeroes other states.
-      FlatFactor h = FlatFactor::from(f);
+      FlatFactor h = to_flat(f);
       apply_evidence(h, var, state);
       ASSERT_EQ(h.scope, f.scope());
       double kept = 0.0, zeroed = 0.0;

@@ -22,12 +22,14 @@
 #include "kert/kert_builder.hpp"
 #include "kert/query_engine.hpp"
 #include "sosim/synthetic.hpp"
+#include "support/networks.hpp"
 #include "support/simd_tiers.hpp"
 
 namespace kertbn::core {
 namespace {
 
 using test_support::runnable_tiers;
+using test_support::random_network;
 using test_support::TierGuard;
 
 void expect_tier_close(const std::vector<double>& scalar,
@@ -43,39 +45,6 @@ void expect_tier_close(const std::vector<double>& scalar,
           << " vs " << tiered[i];
     }
   }
-}
-
-/// Random discrete network (same construction as the junction-tree tests).
-bn::BayesianNetwork random_network(std::size_t n, std::uint64_t seed) {
-  kertbn::Rng rng(seed);
-  bn::BayesianNetwork net;
-  for (std::size_t i = 0; i < n; ++i) {
-    net.add_node(bn::Variable::discrete("v" + std::to_string(i),
-                                        2 + rng.uniform_index(2)));
-  }
-  for (std::size_t v = 1; v < n; ++v) {
-    const std::size_t max_parents = std::min<std::size_t>(v, 3);
-    const std::size_t k = rng.uniform_index(max_parents + 1);
-    auto perm = rng.permutation(v);
-    for (std::size_t i = 0; i < k; ++i) net.add_edge(perm[i], v);
-  }
-  for (std::size_t v = 0; v < n; ++v) {
-    std::size_t configs = 1;
-    std::vector<std::size_t> cards;
-    for (std::size_t p : net.dag().parents(v)) {
-      cards.push_back(net.variable(p).cardinality);
-      configs *= net.variable(p).cardinality;
-    }
-    const std::size_t card = net.variable(v).cardinality;
-    std::vector<double> table;
-    table.reserve(configs * card);
-    for (std::size_t c = 0; c < configs * card; ++c) {
-      table.push_back(rng.uniform(0.05, 1.0));
-    }
-    net.set_cpd(v, std::make_unique<bn::TabularCpd>(
-                       bn::TabularCpd(card, cards, table)));
-  }
-  return net;
 }
 
 /// The eDiaMoND KERT-BN served at every tier: posteriors, exceedance, and

@@ -1,10 +1,12 @@
 #pragma once
 /// \file fnv1a.hpp
 /// FNV-1a over bytes, for suites that pin the exact bytes of a durable
-/// format (model text, checkpoint files, journal segments).
+/// format (model text, checkpoint files, journal segments) or every bit of
+/// a computed answer.
 
 #include <cstdint>
 #include <string_view>
+#include <type_traits>
 
 namespace kertbn::test_support {
 
@@ -18,6 +20,15 @@ inline std::uint64_t fnv1a(std::string_view bytes,
     h *= 0x100000001b3ull;
   }
   return h;
+}
+
+/// FNV-1a over the bytes of \p x (a double's bits, an integer's bytes),
+/// continuing from \p h.
+template <typename T>
+  requires std::is_trivially_copyable_v<T>
+inline std::uint64_t fnv1a_of(const T& x, std::uint64_t h = kFnvOffset) {
+  return fnv1a(
+      std::string_view(reinterpret_cast<const char*>(&x), sizeof(T)), h);
 }
 
 }  // namespace kertbn::test_support
