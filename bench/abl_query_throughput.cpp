@@ -160,7 +160,7 @@ void run_recalibration(benchmark::State& state, const bn::BayesianNetwork& net,
 
 /// Scenario A: coarse-binned models (cards 2–3), the original tentpole
 /// number. Inner runs are 2–9 elements, so this measures the planning and
-/// fusion work more than the vector width.
+/// walk overhead more than the vector width.
 void BM_RecalibrationSpeedup(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   run_recalibration(state, random_network(n, 7), "recalib");
@@ -168,7 +168,8 @@ void BM_RecalibrationSpeedup(benchmark::State& state) {
 
 /// Scenario A': fine-binned models (cards 8–11, ≤2 parents) — factor
 /// tables with unit-stride runs long enough to fill 4/8-double vector
-/// lanes. The SIMD-vs-scalar per-query ratio is read off this scenario.
+/// lanes, so products and column sums run vectorized on the SIMD tiers.
+/// Every tier computes the same bits; only the time differs.
 void BM_RecalibrationSpeedupWide(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   run_recalibration(state, random_network(n, 7, 8, 4, 2), "recalib_wide");

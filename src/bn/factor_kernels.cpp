@@ -12,12 +12,11 @@ namespace {
 
 constexpr std::size_t kNone = static_cast<std::size_t>(-1);
 
-/// Below these widths a dispatched kernel call is pure overhead; the
-/// inline scalar loops used instead perform the identical operation order,
-/// so the thresholds never change results on the scalar tier and on SIMD
-/// tiers only trade vector width against call overhead.
+/// Below this width a dispatched kernel call is pure overhead; the inline
+/// scalar loop used instead performs the identical operation order, so the
+/// threshold trades vector width against call overhead and never changes a
+/// result.
 constexpr std::size_t kMinColsWidth = 4;
-constexpr std::size_t kMinHsumWidth = 16;
 
 std::size_t find_in(std::span<const std::size_t> scope, std::size_t var) {
   for (std::size_t i = 0; i < scope.size(); ++i) {
@@ -158,13 +157,13 @@ void fill_stride_row(std::span<const std::size_t> out_scope,
   }
 }
 
-/// Stack-or-heap operand state for the multi-operand walks: per-operand
+/// Stack-or-heap operand state for the multi-operand walk: per-operand
 /// offsets, stride-row pointers and inner-run descriptors. Messages have a
 /// handful of operands, so the stack arrays are the steady state.
 struct OperandState {
   static constexpr std::size_t kStack = 16;
-  std::array<std::size_t, kStack + 1> offs_stack;
-  std::array<const std::size_t*, kStack + 1> rows_stack;
+  std::array<std::size_t, kStack> offs_stack;
+  std::array<const std::size_t*, kStack> rows_stack;
   std::array<simd_kernels::ChainOp, kStack> cops_stack;
   std::vector<std::size_t> offs_heap;
   std::vector<const std::size_t*> rows_heap;
@@ -173,13 +172,10 @@ struct OperandState {
   const std::size_t** rows = nullptr;
   simd_kernels::ChainOp* cops = nullptr;
 
-  /// \p rows_needed may exceed the chain-op count by one (the output row
-  /// of the fused walk).
-  OperandState(std::size_t nops, std::size_t rows_needed,
-               const std::size_t* strides, std::size_t nd) {
-    if (rows_needed > kStack + 1 || nops > kStack) {
-      offs_heap.assign(rows_needed, 0);
-      rows_heap.resize(rows_needed);
+  OperandState(std::size_t nops, const std::size_t* strides, std::size_t nd) {
+    if (nops > kStack) {
+      offs_heap.assign(nops, 0);
+      rows_heap.resize(nops);
       cops_heap.resize(nops);
       offs = offs_heap.data();
       rows = rows_heap.data();
@@ -189,7 +185,7 @@ struct OperandState {
       rows = rows_stack.data();
       cops = cops_stack.data();
     }
-    for (std::size_t k = 0; k < rows_needed; ++k) {
+    for (std::size_t k = 0; k < nops; ++k) {
       offs[k] = 0;
       rows[k] = strides + k * nd;
     }
@@ -242,33 +238,24 @@ namespace {
 
 /// One single-variable summation pass. Every branch accumulates k
 /// ascending per output element in output order — the Factor::marginalize
-/// contract. stride > 1 vectorizes ACROSS output elements (column sums:
-/// per-element order unchanged, bit-exact on every tier); the wide
-/// stride == 1 branch is a horizontal sum WITHIN an element, which SIMD
-/// tiers may re-associate (tolerance-bounded).
+/// contract — so every tier computes the same bits. stride > 1 vectorizes
+/// ACROSS output elements (column sums); a stride == 1 sum runs within one
+/// element and stays a sequential scalar fold.
 void reduce_step(const ReducePlan::Step& s, const double* in, double* out) {
+  if (s.stride == 1) {
+    std::size_t o = 0;
+    for (std::size_t base = 0; base < s.in_size; base += s.card) {
+      double acc = 0.0;
+      for (std::size_t k = 0; k < s.card; ++k) acc += in[base + k];
+      out[o++] = acc;
+    }
+    return;
+  }
   const std::size_t block = s.stride * s.card;
   // The scalar kernels perform these exact loops; skipping the per-block
   // indirect call on the scalar tier changes nothing but the call count
   // (blocks here are a handful of elements, so the calls are measurable).
   const bool vec = simd::active_tier() != simd::Tier::kScalar;
-  if (s.stride == 1) {
-    if (vec && s.card >= kMinHsumWidth) {
-      const simd_kernels::KernelOps& kops = simd_kernels::active_ops();
-      std::size_t o = 0;
-      for (std::size_t base = 0; base < s.in_size; base += s.card) {
-        out[o++] = kops.hsum(in + base, s.card);
-      }
-    } else {
-      std::size_t o = 0;
-      for (std::size_t base = 0; base < s.in_size; base += s.card) {
-        double acc = 0.0;
-        for (std::size_t k = 0; k < s.card; ++k) acc += in[base + k];
-        out[o++] = acc;
-      }
-    }
-    return;
-  }
   if (vec && s.stride >= kMinColsWidth) {
     const simd_kernels::KernelOps& kops = simd_kernels::active_ops();
     std::size_t o = 0;
@@ -389,7 +376,7 @@ void chain_product_into(const ChainPlan& plan,
     KERTBN_ASSERT(o == plan.out_size);
     return;
   }
-  OperandState st(nops, nops, plan.strides.data(), nd);
+  OperandState st(nops, plan.strides.data(), nd);
   const std::span<const std::size_t* const> row_span(st.rows, nops);
   do {
     if (plan.vector_run) {
@@ -410,95 +397,6 @@ void chain_product_into(const ChainPlan& plan,
   } while (
       advance_outer(plan.out_cards, outer_nd, odometer, row_span, st.offs));
   KERTBN_ASSERT(o == plan.out_size);
-}
-
-ChainReducePlan make_chain_reduce_plan(std::span<const FlatFactor* const> ops,
-                                       std::span<const std::size_t> target) {
-  KERTBN_EXPECTS(!ops.empty());
-  ChainReducePlan plan;
-  plan.nops = ops.size();
-  std::vector<std::size_t> mid_scope;
-  merge_scopes(ops, mid_scope, plan.mid_cards);
-  plan.mid_size = product_of(plan.mid_cards);
-  const std::size_t nd = mid_scope.size();
-
-  for (std::size_t d = 0; d < nd; ++d) {
-    if (find_in(target, mid_scope[d]) != kNone) {
-      plan.out_scope.push_back(mid_scope[d]);
-      plan.out_cards.push_back(plan.mid_cards[d]);
-    }
-  }
-  plan.out_size = product_of(plan.out_cards);
-
-  plan.strides.assign((plan.nops + 1) * nd, 0);
-  std::vector<const std::size_t*> rows(plan.nops + 1);
-  for (std::size_t k = 0; k < plan.nops; ++k) {
-    fill_stride_row(mid_scope, *ops[k], plan.strides.data() + k * nd);
-    rows[k] = plan.strides.data() + k * nd;
-  }
-  // Output stride row: row-major strides of the surviving dims, 0 on
-  // eliminated ones — the accumulation target of the fused walk.
-  std::size_t* out_row = plan.strides.data() + plan.nops * nd;
-  std::size_t s = 1;
-  for (std::size_t d = nd; d-- > 0;) {
-    if (find_in(target, mid_scope[d]) != kNone) {
-      out_row[d] = s;
-      s *= plan.mid_cards[d];
-    }
-  }
-  rows[plan.nops] = out_row;
-
-  const TrailingRun run =
-      find_trailing_run(plan.mid_cards, rows, plan.run_steps);
-  plan.run_len = run.len;
-  plan.run_dims = run.dims;
-  plan.vector_run = run.vector_run;
-  plan.run_eliminated = (nd == 0) || (plan.run_steps[plan.nops] == 0);
-  return plan;
-}
-
-void chain_reduce_into(const ChainReducePlan& plan,
-                       std::span<const FlatFactor* const> ops,
-                       std::vector<std::size_t>& odometer,
-                       std::vector<double>& out) {
-  KERTBN_EXPECTS(ops.size() == plan.nops);
-  out.assign(plan.out_size, 0.0);
-  const std::size_t nops = plan.nops;
-  const std::size_t nd = plan.mid_cards.size();
-  if (nd == 0) {
-    double acc = ops[0]->values[0];
-    for (std::size_t k = 1; k < nops; ++k) acc *= ops[k]->values[0];
-    out[0] = acc;
-    return;
-  }
-  OperandState st(nops, nops + 1, plan.strides.data(), nd);
-  const std::size_t outer_nd = nd - plan.run_dims;
-  odometer.assign(outer_nd, 0);
-  const simd_kernels::KernelOps& kops = simd_kernels::active_ops();
-  const std::span<const std::size_t* const> row_span(st.rows, nops + 1);
-  do {
-    if (plan.vector_run) {
-      for (std::size_t k = 0; k < nops; ++k) {
-        st.cops[k] = {ops[k]->values.data() + st.offs[k], plan.run_steps[k]};
-      }
-      if (plan.run_eliminated) {
-        out[st.offs[nops]] += kops.chain_dot(st.cops, nops, plan.run_len);
-      } else {
-        kops.chain_fma(out.data() + st.offs[nops], st.cops, nops,
-                       plan.run_len);
-      }
-    } else {
-      const std::size_t sout = plan.run_steps[nops];
-      for (std::size_t i = 0; i < plan.run_len; ++i) {
-        double acc = ops[0]->values[st.offs[0] + i * plan.run_steps[0]];
-        for (std::size_t k = 1; k < nops; ++k) {
-          acc *= ops[k]->values[st.offs[k] + i * plan.run_steps[k]];
-        }
-        out[st.offs[nops] + i * sout] += acc;
-      }
-    }
-  } while (
-      advance_outer(plan.mid_cards, outer_nd, odometer, row_span, st.offs));
 }
 
 }  // namespace
@@ -603,18 +501,6 @@ const ChainPlan& FactorWorkspace::chain_plan(
   return chain_plans_.insert(key_, make_chain_plan(ops));
 }
 
-const ChainReducePlan& FactorWorkspace::chain_reduce_plan(
-    std::span<const FlatFactor* const> ops,
-    std::span<const std::size_t> target) {
-  build_key(ops, target);
-  if (ChainReducePlan* p = chain_reduce_plans_.find(key_)) {
-    ++plan_hits_;
-    return *p;
-  }
-  ++plan_misses_;
-  return chain_reduce_plans_.insert(key_, make_chain_reduce_plan(ops, target));
-}
-
 void FactorWorkspace::product(const FlatFactor& a, const FlatFactor& b,
                               FlatFactor& out) {
   const FlatFactor* factors[1] = {&b};
@@ -646,21 +532,8 @@ void FactorWorkspace::product_chain_reduce(
     reduce(base, target, out);
     return;
   }
-  if (simd::active_tier() == simd::Tier::kScalar) {
-    // The fused pass accumulates in a different order than the stepwise
-    // pipeline; the scalar tier promises bit-identity to the legacy path,
-    // so it keeps the exact two-step execution.
-    product_chain(base, factors, fused_tmp_);
-    reduce(fused_tmp_, target, out);
-    return;
-  }
-  ops_.clear();
-  ops_.push_back(&base);
-  ops_.insert(ops_.end(), factors.begin(), factors.end());
-  const ChainReducePlan& plan = chain_reduce_plan(ops_, target);
-  out.scope = plan.out_scope;
-  out.cards = plan.out_cards;
-  chain_reduce_into(plan, ops_, odometer_, out.values);
+  product_chain(base, factors, chain_tmp_);
+  reduce(chain_tmp_, target, out);
 }
 
 void FactorWorkspace::reduce(const FlatFactor& f,

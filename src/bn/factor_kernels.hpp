@@ -11,34 +11,31 @@
 /// and reuses scratch buffers, so a calibrated tree's steady state performs
 /// no allocation and no scope searching at all.
 ///
-/// Three execution layers sit on top of the plans (see DESIGN "Query
+/// Two execution layers sit on top of the plans (see DESIGN "Query
 /// serving" for the full contract):
 ///
-///   * SIMD dispatch — every inner loop runs through the runtime-dispatched
-///     kernels in factor_simd.hpp (scalar / AVX2+FMA / AVX-512, probed once
-///     by common/cpu_features and overridable with KERTBN_SIMD). Plans
-///     precompute the longest unit-stride innermost run so the vector
-///     kernels never gather: each operand either streams contiguously or
-///     broadcasts a constant across the run.
+///   * SIMD dispatch — the inner loops of products and column sums run
+///     through the runtime-dispatched kernels in factor_simd.hpp (scalar /
+///     AVX2 / AVX-512, probed once by common/cpu_features and overridable
+///     with KERTBN_SIMD). Plans precompute the longest unit-stride
+///     innermost run so the vector kernels never gather: each operand
+///     either streams contiguously or broadcasts a constant across the run.
 ///   * One product plan — every product, pairwise or a chain
 ///     base × f1 × ... × fk, executes as ONE multi-operand pass of a chain
 ///     plan: every output element is a left fold of its aligned operand
 ///     entries, written once, so large products stream through cache
 ///     instead of materializing (and re-reading) each pairwise
-///     intermediate.
-///   * Fused product+reduce — the clique→sepset message (product chain
-///     followed by a sum-out to the separator) runs as a single
-///     accumulation pass on SIMD tiers: the clique-sized intermediate is
-///     never materialized at all.
+///     intermediate. A clique→sepset message is that product followed by
+///     the stepwise reduce.
 ///
-/// Equivalence contract: with the scalar tier active every kernel performs
-/// the same floating-point operations in the same order as the legacy
-/// Factor operations (bn/factor.hpp, the reference the tests hold the
-/// kernels to), so scalar inference is bit-identical to them. Products are
-/// single multiplies per element and stay bit-exact on EVERY tier; the
-/// SIMD tiers may re-associate summations (stride-1 eliminations, fused
-/// accumulation), which the suites bound at <= 1e-12 relative error on
-/// posteriors.
+/// Equivalence contract: every kernel performs the same floating-point
+/// operations in the same order as the legacy Factor operations
+/// (bn/factor.hpp, the reference the tests hold the kernels to), on EVERY
+/// tier. Products are single multiplies per element, and sums accumulate
+/// each output element's terms in ascending order whether the tier adds
+/// them one at a time or vectorizes across output elements, so discrete
+/// inference is bit-identical to the legacy operations and across the
+/// scalar, AVX2 and AVX-512 tiers.
 
 #include <algorithm>
 #include <cstddef>
@@ -97,10 +94,8 @@ ReducePlan make_reduce_plan(std::span<const std::size_t> scope,
 
 /// Runs the elimination pipeline into \p out; \p scratch provides
 /// ping-pong storage between steps (resized internally, capacity kept).
-/// Scalar tier: bit-exact vs. the legacy loops. SIMD tiers: summations
-/// whose eliminated variable has stride > 1 stay bit-exact (per-element
-/// accumulation order unchanged); stride-1 eliminations of wide runs use
-/// re-associating horizontal sums (tolerance-bounded).
+/// Bit-exact vs. the legacy loops on every tier: each output element sums
+/// its terms in ascending order.
 void reduce_into(const ReducePlan& plan, std::span<const double> in,
                  std::vector<double>& scratch, std::vector<double>& out);
 
@@ -129,32 +124,6 @@ struct ChainPlan {
   /// Per-operand per-element step over the run (∈ {0,1} when vector_run,
   /// general strides of the last dim otherwise).
   std::vector<std::size_t> run_steps;
-};
-
-/// Fused product+reduce plan: the merged index space of a product chain
-/// walked once, accumulating each chain product directly into the reduced
-/// output (out strides are 0 on eliminated dimensions). The clique-sized
-/// intermediate is never materialized. Accumulation order differs from the
-/// stepwise ReducePlan pipeline, so this path is used on SIMD tiers only
-/// (tolerance-bounded); the scalar tier keeps the exact two-step pipeline.
-struct ChainReducePlan {
-  std::vector<std::size_t> mid_cards;  ///< Merged (product) cardinalities.
-  std::size_t mid_size = 1;
-  std::vector<std::size_t> out_scope;  ///< Survivors in merged-scope order.
-  std::vector<std::size_t> out_cards;
-  std::size_t out_size = 1;
-  std::size_t nops = 0;
-  /// Row-major [op][dim]; the row at op == nops holds the OUTPUT strides
-  /// (0 on eliminated dims).
-  std::vector<std::size_t> strides;
-  std::size_t run_len = 1;
-  std::size_t run_dims = 0;
-  bool vector_run = false;
-  std::vector<std::size_t> run_steps;  ///< Per op; last entry = out step.
-  /// Whether the inner run accumulates into one output element (the run is
-  /// fully eliminated: a fused dot product) or streams elementwise into a
-  /// contiguous output span.
-  bool run_eliminated = true;
 };
 
 /// Zeroes every entry of \p f whose state of \p var differs from
@@ -288,9 +257,8 @@ class FactorWorkspace {
                      FlatFactor& out);
 
   /// out = (base × factors...) with every variable outside \p target
-  /// summed out — the clique→sepset message. On SIMD tiers this fuses into
-  /// one accumulation pass with no intermediate factor; on the scalar tier
-  /// it runs the exact two-step pipeline (bit-identical to legacy).
+  /// summed out — the clique→sepset message: the chain product into
+  /// workspace scratch, then the stepwise reduce.
   void product_chain_reduce(const FlatFactor& base,
                             std::span<const FlatFactor* const> factors,
                             std::span<const std::size_t> target,
@@ -310,9 +278,6 @@ class FactorWorkspace {
 
  private:
   const ChainPlan& chain_plan(std::span<const FlatFactor* const> ops);
-  const ChainReducePlan& chain_reduce_plan(
-      std::span<const FlatFactor* const> ops,
-      std::span<const std::size_t> target);
 
   /// Fills key_ with the length-prefixed scope and cardinality tuples of
   /// \p ops (+ target).
@@ -321,12 +286,11 @@ class FactorWorkspace {
 
   PlanCache<ReducePlan> reduce_plans_;
   PlanCache<ChainPlan> chain_plans_;
-  PlanCache<ChainReducePlan> chain_reduce_plans_;
   std::vector<std::size_t> key_;              // lookup-key scratch
   std::vector<const FlatFactor*> ops_;        // operand-list scratch
   std::vector<std::size_t> odometer_;
   std::vector<double> scratch_;
-  FlatFactor fused_tmp_;  // scalar-tier staging for product_chain_reduce
+  FlatFactor chain_tmp_;  // product staging for product_chain_reduce
   std::size_t plan_hits_ = 0;
   std::size_t plan_misses_ = 0;
 };

@@ -13,7 +13,7 @@ namespace {
 // ---------------------------------------------------------------------------
 // Scalar tier — the reference semantics. Each loop performs the same
 // floating-point operations in the same order as the legacy Factor code,
-// so the scalar tier is bit-identical to it.
+// and the vector tiers below perform them in that order too.
 // ---------------------------------------------------------------------------
 
 double chain_at(const ChainOp* ops, std::size_t nops, std::size_t i) {
@@ -45,66 +45,6 @@ void chain_mul_scalar(double* out, const ChainOp* ops, std::size_t nops,
   }
 }
 
-/// Accumulating variants build the chain product pass-wise in a chunk
-/// buffer and then fold the chunk into the destination, preserving both
-/// the per-element operand order and the i-ascending accumulation order.
-constexpr std::size_t kChunk = 128;
-
-/// Short runs (coarse-binned models produce 2-9 element runs) skip the
-/// chunk machinery; the fold performs the identical operation order.
-constexpr std::size_t kMinChunkLen = 16;
-
-void chain_fma_scalar(double* out, const ChainOp* ops, std::size_t nops,
-                      std::size_t n) {
-  if (n < kMinChunkLen) {
-    for (std::size_t i = 0; i < n; ++i) out[i] += chain_at(ops, nops, i);
-    return;
-  }
-  double buf[kChunk];
-  std::size_t at = 0;
-  while (at < n) {
-    const std::size_t len = (n - at < kChunk) ? (n - at) : kChunk;
-    if (nops <= 16) {
-      ChainOp shifted[16];
-      for (std::size_t k = 0; k < nops; ++k) {
-        shifted[k] = {ops[k].p + (ops[k].step ? at : 0), ops[k].step};
-      }
-      chain_mul_scalar(buf, shifted, nops, len);
-      for (std::size_t i = 0; i < len; ++i) out[at + i] += buf[i];
-    } else {
-      for (std::size_t i = 0; i < len; ++i) {
-        out[at + i] += chain_at(ops, nops, at + i);
-      }
-    }
-    at += len;
-  }
-}
-
-double chain_dot_scalar(const ChainOp* ops, std::size_t nops, std::size_t n) {
-  double acc = 0.0;
-  if (n < kMinChunkLen) {
-    for (std::size_t i = 0; i < n; ++i) acc += chain_at(ops, nops, i);
-    return acc;
-  }
-  double buf[kChunk];
-  std::size_t at = 0;
-  while (at < n) {
-    const std::size_t len = (n - at < kChunk) ? (n - at) : kChunk;
-    if (nops <= 16) {
-      ChainOp shifted[16];
-      for (std::size_t k = 0; k < nops; ++k) {
-        shifted[k] = {ops[k].p + (ops[k].step ? at : 0), ops[k].step};
-      }
-      chain_mul_scalar(buf, shifted, nops, len);
-      for (std::size_t i = 0; i < len; ++i) acc += buf[i];
-    } else {
-      for (std::size_t i = 0; i < len; ++i) acc += chain_at(ops, nops, at + i);
-    }
-    at += len;
-  }
-  return acc;
-}
-
 void reduce_cols_scalar(double* out, const double* in, std::size_t stride,
                         std::size_t card) {
   for (std::size_t i = 0; i < stride; ++i) {
@@ -114,28 +54,17 @@ void reduce_cols_scalar(double* out, const double* in, std::size_t stride,
   }
 }
 
-double hsum_scalar(const double* p, std::size_t n) {
-  double acc = 0.0;
-  for (std::size_t i = 0; i < n; ++i) acc += p[i];
-  return acc;
-}
-
-constexpr KernelOps kScalarOps = {chain_mul_scalar, chain_fma_scalar,
-                                  chain_dot_scalar, reduce_cols_scalar,
-                                  hsum_scalar};
+constexpr KernelOps kScalarOps = {chain_mul_scalar, reduce_cols_scalar};
 
 #if KERTBN_X86_SIMD
 
 // ---------------------------------------------------------------------------
-// AVX2 + FMA tier — 4 doubles per op. Broadcast operands use vbroadcastsd
-// (a plain load uop), so re-broadcasting inside the loop costs the same as
-// a contiguous load and no per-operand state needs hoisting. Horizontal
-// reductions use a FIXED lane order (((l0+l1)+l2)+l3) so results are
-// deterministic run to run — re-associated relative to scalar, never
-// relative to themselves.
+// AVX2 tier — 4 doubles per op. Broadcast operands use vbroadcastsd (a
+// plain load uop), so re-broadcasting inside the loop costs the same as a
+// contiguous load and no per-operand state needs hoisting.
 // ---------------------------------------------------------------------------
 
-__attribute__((target("avx2,fma"))) inline __m256d
+__attribute__((target("avx2"))) inline __m256d
 chain_at4(const ChainOp* ops, std::size_t nops, std::size_t i) {
   __m256d acc = ops[0].step ? _mm256_loadu_pd(ops[0].p + i)
                             : _mm256_set1_pd(*ops[0].p);
@@ -147,43 +76,13 @@ chain_at4(const ChainOp* ops, std::size_t nops, std::size_t i) {
   return acc;
 }
 
-__attribute__((target("avx2"))) inline double hadd4(__m256d v) {
-  alignas(32) double lane[4];
-  _mm256_store_pd(lane, v);
-  return ((lane[0] + lane[1]) + lane[2]) + lane[3];
-}
-
-__attribute__((target("avx2,fma"))) void chain_mul_avx2(double* out,
-                                                        const ChainOp* ops,
-                                                        std::size_t nops,
-                                                        std::size_t n) {
+__attribute__((target("avx2"))) void chain_mul_avx2(double* out,
+                                                    const ChainOp* ops,
+                                                    std::size_t nops,
+                                                    std::size_t n) {
   std::size_t i = 0;
   for (; i + 4 <= n; i += 4) _mm256_storeu_pd(out + i, chain_at4(ops, nops, i));
   for (; i < n; ++i) out[i] = chain_at(ops, nops, i);
-}
-
-__attribute__((target("avx2,fma"))) void chain_fma_avx2(double* out,
-                                                        const ChainOp* ops,
-                                                        std::size_t nops,
-                                                        std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d sum = _mm256_add_pd(_mm256_loadu_pd(out + i),
-                                      chain_at4(ops, nops, i));
-    _mm256_storeu_pd(out + i, sum);
-  }
-  for (; i < n; ++i) out[i] += chain_at(ops, nops, i);
-}
-
-__attribute__((target("avx2,fma"))) double chain_dot_avx2(const ChainOp* ops,
-                                                          std::size_t nops,
-                                                          std::size_t n) {
-  __m256d acc = _mm256_setzero_pd();
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) acc = _mm256_add_pd(acc, chain_at4(ops, nops, i));
-  double total = hadd4(acc);
-  for (; i < n; ++i) total += chain_at(ops, nops, i);
-  return total;
 }
 
 __attribute__((target("avx2"))) void reduce_cols_avx2(double* out,
@@ -205,21 +104,10 @@ __attribute__((target("avx2"))) void reduce_cols_avx2(double* out,
   }
 }
 
-__attribute__((target("avx2"))) double hsum_avx2(const double* p,
-                                                 std::size_t n) {
-  __m256d acc = _mm256_setzero_pd();
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) acc = _mm256_add_pd(acc, _mm256_loadu_pd(p + i));
-  double total = hadd4(acc);
-  for (; i < n; ++i) total += p[i];
-  return total;
-}
-
-constexpr KernelOps kAvx2Ops = {chain_mul_avx2, chain_fma_avx2,
-                                chain_dot_avx2, reduce_cols_avx2, hsum_avx2};
+constexpr KernelOps kAvx2Ops = {chain_mul_avx2, reduce_cols_avx2};
 
 // ---------------------------------------------------------------------------
-// AVX-512 F/DQ tier — 8 doubles per op, masked tails where profitable.
+// AVX-512 F/DQ tier — 8 doubles per op.
 // ---------------------------------------------------------------------------
 
 __attribute__((target("avx512f,avx512dq"))) inline __m512d
@@ -234,40 +122,11 @@ chain_at8(const ChainOp* ops, std::size_t nops, std::size_t i) {
   return acc;
 }
 
-__attribute__((target("avx512f,avx512dq"))) inline double hadd8(__m512d v) {
-  alignas(64) double lane[8];
-  _mm512_store_pd(lane, v);
-  double total = lane[0];
-  for (int k = 1; k < 8; ++k) total += lane[k];
-  return total;
-}
-
 __attribute__((target("avx512f,avx512dq"))) void chain_mul_avx512(
     double* out, const ChainOp* ops, std::size_t nops, std::size_t n) {
   std::size_t i = 0;
   for (; i + 8 <= n; i += 8) _mm512_storeu_pd(out + i, chain_at8(ops, nops, i));
   for (; i < n; ++i) out[i] = chain_at(ops, nops, i);
-}
-
-__attribute__((target("avx512f,avx512dq"))) void chain_fma_avx512(
-    double* out, const ChainOp* ops, std::size_t nops, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m512d sum = _mm512_add_pd(_mm512_loadu_pd(out + i),
-                                      chain_at8(ops, nops, i));
-    _mm512_storeu_pd(out + i, sum);
-  }
-  for (; i < n; ++i) out[i] += chain_at(ops, nops, i);
-}
-
-__attribute__((target("avx512f,avx512dq"))) double chain_dot_avx512(
-    const ChainOp* ops, std::size_t nops, std::size_t n) {
-  __m512d acc = _mm512_setzero_pd();
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) acc = _mm512_add_pd(acc, chain_at8(ops, nops, i));
-  double total = hadd8(acc);
-  for (; i < n; ++i) total += chain_at(ops, nops, i);
-  return total;
 }
 
 __attribute__((target("avx512f,avx512dq"))) void reduce_cols_avx512(
@@ -287,19 +146,7 @@ __attribute__((target("avx512f,avx512dq"))) void reduce_cols_avx512(
   }
 }
 
-__attribute__((target("avx512f,avx512dq"))) double hsum_avx512(const double* p,
-                                                               std::size_t n) {
-  __m512d acc = _mm512_setzero_pd();
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) acc = _mm512_add_pd(acc, _mm512_loadu_pd(p + i));
-  double total = hadd8(acc);
-  for (; i < n; ++i) total += p[i];
-  return total;
-}
-
-constexpr KernelOps kAvx512Ops = {chain_mul_avx512, chain_fma_avx512,
-                                  chain_dot_avx512, reduce_cols_avx512,
-                                  hsum_avx512};
+constexpr KernelOps kAvx512Ops = {chain_mul_avx512, reduce_cols_avx512};
 
 #endif  // KERTBN_X86_SIMD
 

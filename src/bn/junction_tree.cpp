@@ -292,8 +292,8 @@ void JunctionTree::ensure_clean() const {
       in.push_back(&clean_msgs_[message_id(nb, x)]);
     }
     const std::size_t id = message_id(x, y);
-    // Same fused kernel path as message(): clean and evidence executions
-    // must stay bit-identical on every dispatch tier.
+    // Same kernel call as message(): clean and evidence executions must
+    // stay bit-identical.
     ws_.product_chain_reduce(clean_base_[x], in, edges_[id / 2].separator,
                              clean_msgs_[id]);
     ++stats_.messages_recomputed;
@@ -499,8 +499,8 @@ std::vector<double> JunctionTree::posterior(std::size_t v) const {
   std::vector<double> out;
   std::vector<double> local_scratch;
   reduce_into(plan, b.values, sliced ? read_scratch_ : local_scratch, out);
-  // Normalize exactly like Factor::normalized (no-op on an all-zero
-  // marginal).
+  // Each entry over the storage-order total; an all-zero marginal stays
+  // as it is.
   double t = 0.0;
   for (double x : out) t += x;
   if (t > 0.0) {

@@ -37,18 +37,15 @@
 /// x·1 = x for the finite non-negative values factors hold) and adding +0
 /// to a non-negative sum is exact, so the slice performs the same non-zero
 /// additions in the same order as reducing the zero-filled belief: the
-/// answers are bit-identical to it on the scalar tier (and on SIMD tiers
-/// except where slicing turns a strided elimination of a variable with 16
-/// or more states into a re-associated stride-1 sum, inside the 1e-12
-/// contract below).
+/// answers are bit-identical to it.
 ///
-/// Clique→sepset messages execute through the runtime-dispatched SIMD
-/// kernels (common/cpu_features): on the scalar tier answers are
-/// bit-identical to the legacy engines; on AVX tiers messages run as one
-/// fused product+reduce pass (no clique-sized intermediate) whose
-/// re-associated sums are tolerance-bounded (<= 1e-12 relative on
-/// posteriors). Clean and evidence paths always share one kernel path, so
-/// incremental-vs-full bit-identity holds on every tier.
+/// A clique→sepset message is the chain product of the clique's base and
+/// its incoming messages followed by the stepwise reduce to the separator,
+/// through the runtime-dispatched SIMD kernels (common/cpu_features).
+/// Every kernel performs the legacy engines' floating-point operations in
+/// their order on every tier, so answers are bit-identical to them and
+/// across the scalar, AVX2 and AVX-512 tiers. Clean and evidence paths
+/// share one kernel call, so incremental-vs-full bit-identity holds too.
 
 #include <map>
 #include <vector>

@@ -3,7 +3,7 @@
 /// Runtime SIMD dispatch for the inference hot path.
 ///
 /// The factor kernels ship three executions of every inner loop — scalar,
-/// AVX2/FMA, and AVX-512 — selected once at startup by CPUID probe (the
+/// AVX2, and AVX-512 — selected once at startup by CPUID probe (the
 /// same pattern as the SSE4.2 CRC32C dispatch in src/durable/crc32c.cpp),
 /// so one binary runs everywhere and uses the widest units the host has.
 ///
@@ -12,11 +12,12 @@
 /// clamped down to the widest supported tier with a one-time warning, so a
 /// CI matrix over KERTBN_SIMD is safe on any runner.
 ///
-/// Equivalence contract (see DESIGN "Query serving"): the scalar tier is
-/// bit-identical to the legacy Factor operations; SIMD tiers may
-/// re-associate summations and are bounded by tolerance-based equivalence
-/// tests (<= 1e-12 relative on posteriors). Products are single multiplies
-/// per element and stay bit-exact on every tier.
+/// Equivalence contract (see DESIGN "Query serving"): every tier performs
+/// the legacy Factor operations' floating-point operations in their order
+/// — products are single multiplies per element, and vector sums run
+/// across output elements, each summing its terms in ascending order — so
+/// discrete answers are bit-identical on the scalar, AVX2 and AVX-512
+/// tiers.
 
 namespace kertbn::simd {
 

@@ -2,10 +2,11 @@
 
 #include <cctype>
 #include <cmath>
-#include <cstdlib>
 #include <sstream>
+#include <string_view>
 
 #include "common/contract.hpp"
+#include "common/text_codec.hpp"
 
 namespace kertbn::wf {
 namespace {
@@ -66,12 +67,15 @@ void write_node(const Node& node, std::ostringstream& out) {
 /// is reported by value (nullptr + error message); the aborting
 /// node_from_text wrapper turns that into a contract failure, while
 /// try_node_from_text hands it to callers that must degrade gracefully.
+/// Counts and numbers are tokens of the durable text codec
+/// (common/text_codec), and containers grow only from entries actually
+/// read, so no input can make the reader throw.
 class Parser {
  public:
   explicit Parser(const std::string& text) : text_(text) {}
 
   Node::Ptr parse(std::string* error) {
-    Node::Ptr node = parse_node();
+    Node::Ptr node = parse_node(0);
     skip_ws();
     if (node != nullptr && pos_ != text_.size()) {
       fail("trailing input after tree");
@@ -117,7 +121,7 @@ class Parser {
     return pos_ >= text_.size();
   }
 
-  std::string word() {
+  std::string_view word() {
     skip_ws();
     std::size_t start = pos_;
     while (pos_ < text_.size() && text_[pos_] != '(' &&
@@ -126,38 +130,47 @@ class Parser {
       ++pos_;
     }
     if (pos_ == start) fail("expected token");
-    return text_.substr(start, pos_ - start);
+    return std::string_view(text_).substr(start, pos_ - start);
   }
 
+  /// The next token as a finite number (text::parse_number).
   bool number(double& out) {
-    const std::string w = word();
+    const std::string_view w = word();
     if (w.empty()) return false;
-    char* end = nullptr;
-    out = std::strtod(w.c_str(), &end);
-    if (end != w.c_str() + w.size()) {
-      fail("expected number, got '" + w + "'");
+    if (!text::parse_number(w, out)) {
+      fail("expected number, got '" + std::string(w) + "'");
       return false;
     }
     return true;
   }
 
-  Node::Ptr parse_node() {
+  /// The next token as an unsigned decimal count (text::parse_count).
+  bool count(std::size_t& out) {
+    const std::string_view w = word();
+    if (w.empty()) return false;
+    if (!text::parse_count(w, out)) {
+      fail("expected count, got '" + std::string(w) + "'");
+      return false;
+    }
+    return true;
+  }
+
+  /// \p depth counts the composites already open around this node.
+  Node::Ptr parse_node(std::size_t depth) {
     if (!expect('(')) return nullptr;
-    const std::string head = word();
+    if (depth == kMaxTreeDepth) return fail("tree nested too deeply");
+    const std::string_view head = word();
     if (head == "act") {
-      double svc = 0.0;
-      if (!number(svc)) return nullptr;
-      if (!(svc >= 0.0) || svc != std::floor(svc)) {
-        return fail("activity index must be a non-negative integer");
-      }
+      std::size_t svc = 0;
+      if (!count(svc)) return nullptr;
       if (!expect(')')) return nullptr;
-      return Node::activity(static_cast<std::size_t>(svc));
+      return Node::activity(svc);
     }
     if (head == "seq" || head == "par") {
       std::vector<Node::Ptr> children;
       while (!peek(')')) {
         if (at_end()) return fail("unterminated composite");
-        Node::Ptr child = parse_node();
+        Node::Ptr child = parse_node(depth + 1);
         if (child == nullptr) return nullptr;
         children.push_back(std::move(child));
       }
@@ -179,7 +192,7 @@ class Parser {
         }
         total += p;
         probs.push_back(p);
-        Node::Ptr child = parse_node();
+        Node::Ptr child = parse_node(depth + 1);
         if (child == nullptr) return nullptr;
         children.push_back(std::move(child));
       }
@@ -196,17 +209,15 @@ class Parser {
       if (!(repeat >= 0.0) || repeat >= 1.0) {
         return fail("loop probability outside [0, 1)");
       }
-      Node::Ptr body = parse_node();
+      Node::Ptr body = parse_node(depth + 1);
       if (body == nullptr) return nullptr;
       if (!expect(')')) return nullptr;
       return Node::loop(std::move(body), repeat);
     }
     if (head == "map") {
-      double k_min = 0.0;
-      if (!number(k_min)) return nullptr;
-      if (!(k_min >= 1.0) || k_min != std::floor(k_min)) {
-        return fail("map k_min must be a positive integer");
-      }
+      std::size_t k_min = 0;
+      if (!count(k_min)) return nullptr;
+      if (k_min == 0) return fail("map k_min must be a positive integer");
       // Weights run until the body's opening paren.
       std::vector<double> weights;
       double total = 0.0;
@@ -222,53 +233,56 @@ class Parser {
       }
       if (weights.empty()) return fail("map needs at least one k weight");
       if (!(total > 0.0)) return fail("map k weights are all zero");
-      Node::Ptr body = parse_node();
+      if (!std::isfinite(total)) return fail("map k weights overflow");
+      Node::Ptr body = parse_node(depth + 1);
       if (body == nullptr) return nullptr;
       if (!expect(')')) return nullptr;
-      return Node::map(std::move(body), static_cast<std::size_t>(k_min),
-                       std::move(weights));
+      return Node::map(std::move(body), k_min, std::move(weights));
     }
     if (head == "dchoice") {
-      double classes = 0.0;
-      double branches = 0.0;
-      if (!number(classes) || !number(branches)) return nullptr;
-      if (!(classes >= 1.0) || classes != std::floor(classes) ||
-          !(branches >= 1.0) || branches != std::floor(branches)) {
+      std::size_t n_classes = 0;
+      std::size_t n_branches = 0;
+      if (!count(n_classes) || !count(n_branches)) return nullptr;
+      if (n_classes == 0 || n_branches == 0) {
         return fail("dchoice class/branch counts must be positive integers");
       }
-      const auto n_classes = static_cast<std::size_t>(classes);
-      const auto n_branches = static_cast<std::size_t>(branches);
-      std::vector<double> gammas(n_classes, 0.0);
+      // The counts come from the input: every container below grows one
+      // entry per value read, so a huge count fails at the missing value.
+      std::vector<double> gammas;
       double gamma_total = 0.0;
-      for (double& g : gammas) {
+      for (std::size_t c = 0; c < n_classes; ++c) {
+        double g = 0.0;
         if (!number(g)) return nullptr;
         if (!(g >= 0.0) || g > 1.0) {
           return fail("class probability outside [0, 1]");
         }
         gamma_total += g;
+        gammas.push_back(g);
       }
       if (std::abs(gamma_total - 1.0) >= 1e-9) {
         return fail("class probabilities do not sum to 1");
       }
-      std::vector<std::vector<double>> rows(
-          n_classes, std::vector<double>(n_branches, 0.0));
-      for (auto& row : rows) {
+      std::vector<std::vector<double>> rows;
+      for (std::size_t c = 0; c < n_classes; ++c) {
+        std::vector<double> row;
         double row_total = 0.0;
-        for (double& p : row) {
+        for (std::size_t b = 0; b < n_branches; ++b) {
+          double p = 0.0;
           if (!number(p)) return nullptr;
           if (!(p >= 0.0) || p > 1.0) {
             return fail("branch probability outside [0, 1]");
           }
           row_total += p;
+          row.push_back(p);
         }
         if (std::abs(row_total - 1.0) >= 1e-9) {
           return fail("branch row does not sum to 1");
         }
+        rows.push_back(std::move(row));
       }
       std::vector<Node::Ptr> children;
-      children.reserve(n_branches);
       for (std::size_t b = 0; b < n_branches; ++b) {
-        Node::Ptr child = parse_node();
+        Node::Ptr child = parse_node(depth + 1);
         if (child == nullptr) return nullptr;
         children.push_back(std::move(child));
       }
@@ -276,7 +290,7 @@ class Parser {
       return Node::data_choice(std::move(children), std::move(gammas),
                                std::move(rows));
     }
-    fail("unknown construct '" + head + "'");
+    fail("unknown construct '" + std::string(head) + "'");
     return nullptr;
   }
 

@@ -19,11 +19,17 @@
 /// knowledge a persisted KERT-BN must carry to rebuild its deterministic
 /// response CPD).
 
+#include <cstddef>
 #include <string>
 
 #include "workflow/workflow.hpp"
 
 namespace kertbn::wf {
+
+/// Deepest composite nesting the tree readers accept. Generated trees nest
+/// about 30 deep at 1,000 services; the bound keeps hostile input from
+/// exhausting the stack of the recursive descent.
+inline constexpr std::size_t kMaxTreeDepth = 256;
 
 /// Renders a composition tree as an s-expression.
 std::string node_to_text(const Node& node);
@@ -34,7 +40,10 @@ Node::Ptr node_from_text(const std::string& text);
 
 /// Fallible variant for loaders that must degrade on corrupt input (the
 /// durability layer's checkpoint loads): returns nullptr and fills
-/// \p error instead of aborting. All Node-factory preconditions (non-empty
+/// \p error instead of aborting or throwing. Counts are unsigned decimal
+/// tokens and probabilities and weights finite numbers, as in the
+/// durable text codec (common/text_codec); nesting deeper than
+/// kMaxTreeDepth is refused. All Node-factory preconditions (non-empty
 /// composites, choice probabilities summing to one, loop probability in
 /// [0, 1)) are validated here first.
 Node::Ptr try_node_from_text(const std::string& text, std::string* error);

@@ -171,9 +171,8 @@ TEST(VariableElimination, RejectsEvidenceOutsideTheNetwork) {
 }
 
 /// Pins every posterior and P(e) variable elimination returns on seeded
-/// random networks and on the 3- and 4-bin eDiaMoND KERT-BN. Products are
-/// bit-exact on every tier, and no node here has the 16 or more states a
-/// re-associating sum needs, so the digest holds on every tier.
+/// random networks and on the 3- and 4-bin eDiaMoND KERT-BN. Every kernel
+/// is bit-exact on every tier, so the digest holds on every tier.
 TEST(VariableElimination, AnswersArePinnedOnEveryTier) {
   test_support::TierGuard guard;
   std::vector<BayesianNetwork> nets;

@@ -1,15 +1,15 @@
 /// \file test_simd_kernels.cpp
 /// Per-tier equivalence suite for the runtime-dispatched inference
-/// kernels (ISSUE 9 satellite). Every test runs on every dispatch tier
-/// the host supports (KERTBN_SIMD-style switching via set_active_tier)
-/// and asserts the DESIGN equivalence contract:
+/// kernels. Every test runs on every dispatch tier the host supports
+/// (KERTBN_SIMD-style switching via set_active_tier) and asserts the
+/// DESIGN equivalence contract, bit-exact against the legacy Factor
+/// operations on EVERY tier:
 ///
-///   * products (pairwise and chained) — bit-exact on EVERY tier;
-///   * reductions — scalar tier bit-exact against legacy Factor
-///     marginalization, SIMD tiers within 1e-12 relative;
-///   * fused chain-reduce — scalar tier bit-exact against the two-step
-///     pipeline, SIMD tiers within 1e-12 relative;
-///   * evidence ops — pure data movement, bit-exact on every tier.
+///   * products (pairwise and chained);
+///   * reductions, against legacy Factor marginalization;
+///   * messages (product chain, then reduce), against the legacy product
+///     chain marginalized;
+///   * evidence ops — pure data movement.
 ///
 /// Shapes are seeded and adversarial on purpose: odd cardinalities,
 /// size-1 dimensions, singleton scopes, and run lengths in 1..67 so
@@ -17,7 +17,6 @@
 
 #include "bn/factor_kernels.hpp"
 
-#include <cmath>
 #include <cstddef>
 #include <vector>
 
@@ -41,10 +40,10 @@ using test_support::to_flat;
 
 namespace sk = simd_kernels;
 
-/// Adversarial cardinality universe: 1s, odd primes, and >=16 so the
-/// wide-hsum path engages. Factors sharing a variable must agree on its
-/// cardinality, so each rep draws one universe and every factor of the
-/// rep samples its scope from it.
+/// Adversarial cardinality universe: 1s, odd primes, and >=16 so wide
+/// stride-1 sums are checked exactly. Factors sharing a variable must agree
+/// on its cardinality, so each rep draws one universe and every factor of
+/// the rep samples its scope from it.
 std::vector<std::size_t> random_universe(kertbn::Rng& rng) {
   static const std::size_t kCards[] = {1, 2, 3, 4, 5, 7, 9, 16, 17};
   std::vector<std::size_t> cards(8);
@@ -76,17 +75,6 @@ Factor random_shape(kertbn::Rng& rng,
     cards.push_back(universe[vars[0]]);
   }
   return random_factor(scope, cards, rng);
-}
-
-void expect_close(const std::vector<double>& want,
-                  const std::vector<double>& got, double rel,
-                  const char* what) {
-  ASSERT_EQ(want.size(), got.size()) << what;
-  for (std::size_t i = 0; i < want.size(); ++i) {
-    const double scale = std::max(std::abs(want[i]), 1e-300);
-    ASSERT_LE(std::abs(want[i] - got[i]) / scale, rel)
-        << what << " entry " << i << ": " << want[i] << " vs " << got[i];
-  }
 }
 
 /// Legacy reference for FactorWorkspace::reduce — marginalize eliminated
@@ -132,7 +120,7 @@ TEST(SimdKernels, ChainMulPrimitiveBitExactOnEveryTierAndTail) {
       a[i] = rng.uniform(0.05, 1.0);
       b[i] = rng.uniform(0.05, 1.0);
     }
-    // Two streaming operands and one broadcast — the fused-message shape.
+    // Two streaming operands and one broadcast.
     const sk::ChainOp ops[] = {{a.data(), 1}, {b.data(), 1}, {&c, 0}};
     std::vector<double> want(n);
     for (std::size_t i = 0; i < n; ++i) want[i] = a[i] * b[i] * c;
@@ -175,66 +163,6 @@ TEST(SimdKernels, ReduceColsPrimitiveBitExactOnEveryTier) {
               << " card=" << card << " i=" << i;
         }
       }
-    }
-  }
-}
-
-TEST(SimdKernels, HsumAndChainDotWithinToleranceOnEveryTierAndTail) {
-  TierGuard guard;
-  kertbn::Rng rng(9003);
-  for (std::size_t n = 1; n <= 67; ++n) {
-    std::vector<double> a(n), b(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      a[i] = rng.uniform(0.05, 1.0);
-      b[i] = rng.uniform(0.05, 1.0);
-    }
-    // Exact sequential folds — the scalar-tier contract.
-    double sum = 0.0, dot = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      sum += a[i];
-      dot += a[i] * b[i];
-    }
-    const sk::ChainOp ops[] = {{a.data(), 1}, {b.data(), 1}};
-    for (simd::Tier tier : runnable_tiers()) {
-      simd::set_active_tier(tier);
-      const double got_sum = sk::active_ops().hsum(a.data(), n);
-      const double got_dot = sk::active_ops().chain_dot(ops, 2, n);
-      if (tier == simd::Tier::kScalar) {
-        ASSERT_EQ(sum, got_sum) << "n=" << n;
-        ASSERT_EQ(dot, got_dot) << "n=" << n;
-      } else {
-        ASSERT_LE(std::abs(sum - got_sum) / sum, 1e-12)
-            << "tier " << simd::to_string(tier) << " n=" << n;
-        ASSERT_LE(std::abs(dot - got_dot) / dot, 1e-12)
-            << "tier " << simd::to_string(tier) << " n=" << n;
-      }
-    }
-  }
-}
-
-TEST(SimdKernels, ChainFmaAccumulatesWithinToleranceOnEveryTier) {
-  TierGuard guard;
-  kertbn::Rng rng(9004);
-  for (std::size_t n : {std::size_t{1}, std::size_t{3}, std::size_t{4},
-                        std::size_t{7}, std::size_t{8}, std::size_t{15},
-                        std::size_t{33}, std::size_t{67}}) {
-    std::vector<double> a(n), b(n), init(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      a[i] = rng.uniform(0.05, 1.0);
-      b[i] = rng.uniform(0.05, 1.0);
-      init[i] = rng.uniform(0.05, 1.0);
-    }
-    const sk::ChainOp ops[] = {{a.data(), 1}, {b.data(), 1}};
-    std::vector<double> want = init;
-    for (std::size_t i = 0; i < n; ++i) want[i] += a[i] * b[i];
-    for (simd::Tier tier : runnable_tiers()) {
-      simd::set_active_tier(tier);
-      std::vector<double> got = init;
-      sk::active_ops().chain_fma(got.data(), ops, 2, n);
-      // Element-wise a+b*c carries no reassociation; with FMA contraction
-      // the result can differ from the separate multiply-add by at most
-      // one rounding — well inside the tolerance budget.
-      expect_close(want, got, 1e-15, simd::to_string(tier));
     }
   }
 }
@@ -291,7 +219,7 @@ TEST(SimdKernels, ChainProductsBitExactOnEveryTierOverSeededShapes) {
   }
 }
 
-TEST(SimdKernels, ReduceScalarBitExactSimdWithinToleranceOverSeededShapes) {
+TEST(SimdKernels, ReduceBitExactOnEveryTierOverSeededShapes) {
   TierGuard guard;
   kertbn::Rng rng(9103);
   FactorWorkspace ws;
@@ -311,18 +239,12 @@ TEST(SimdKernels, ReduceScalarBitExactSimdWithinToleranceOverSeededShapes) {
       simd::set_active_tier(tier);
       FlatFactor out;
       ws.reduce(ff, target, out);
-      if (tier == simd::Tier::kScalar) {
-        expect_bitwise_equal(legacy, out, "scalar reduce");
-      } else {
-        ASSERT_EQ(legacy.scope(), out.scope);
-        expect_close(legacy.values(), out.values, 1e-12,
-                     simd::to_string(tier));
-      }
+      expect_bitwise_equal(legacy, out, simd::to_string(tier));
     }
   }
 }
 
-TEST(SimdKernels, FusedChainReduceMatchesTwoStepOnEveryTier) {
+TEST(SimdKernels, ProductChainReduceBitExactOnEveryTierOverSeededShapes) {
   TierGuard guard;
   kertbn::Rng rng(9104);
   FactorWorkspace ws;
@@ -352,14 +274,7 @@ TEST(SimdKernels, FusedChainReduceMatchesTwoStepOnEveryTier) {
       simd::set_active_tier(tier);
       FlatFactor out;
       ws.product_chain_reduce(fb, chain, target, out);
-      ASSERT_EQ(legacy.scope(), out.scope);
-      if (tier == simd::Tier::kScalar) {
-        // Scalar tier runs the exact two-step pipeline — bit-identical.
-        expect_bitwise_equal(legacy, out, "scalar fused");
-      } else {
-        expect_close(legacy.values(), out.values, 1e-12,
-                     simd::to_string(tier));
-      }
+      expect_bitwise_equal(legacy, out, simd::to_string(tier));
     }
   }
 }

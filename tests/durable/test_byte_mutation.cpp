@@ -2,7 +2,8 @@
 // text (kert/serialize), checkpoint files (durable/checkpoint) and journal
 // payloads (durable/recovery). Each input is damaged by truncation, byte
 // flips, byte insertions and token deletions drawn from splitmix64, the
-// generator FaultInjector keys its decisions with.
+// generator FaultInjector keys its decisions with (support/mutation.hpp;
+// WorkflowSerialize damages the workflow grammar on its own the same way).
 //
 // The contract: every input gives an error by value or a value, never an
 // abort, a throw or a sanitizer report (the suite runs under ASan and
@@ -25,59 +26,14 @@
 #include "kert/model_manager.hpp"
 #include "kert/serialize.hpp"
 #include "sosim/synthetic.hpp"
+#include "support/mutation.hpp"
 
 namespace kertbn::durable {
 namespace {
 
 namespace fs = std::filesystem;
-
-/// splitmix64 (Steele, Lea & Flood), stepped as a stream.
-class SplitMix64 {
- public:
-  explicit SplitMix64(std::uint64_t seed) : state_(seed) {}
-  std::uint64_t next() {
-    std::uint64_t z = (state_ += 0x9e3779b97f4a7c15ULL);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
-  }
-  std::size_t below(std::size_t n) { return next() % n; }
-
- private:
-  std::uint64_t state_;
-};
-
-/// Bytes a text format gives meaning to; insertions draw from these half
-/// the time so that damage often still looks like a token.
-constexpr std::string_view kSalient = "0123456789 \n\t.-+eE";
-
-/// One seeded mutation: flip a byte, insert a byte, or delete a token.
-std::string mutate(std::string text, SplitMix64& rng) {
-  if (text.empty()) return text;
-  const std::size_t at = rng.below(text.size());
-  switch (rng.below(3)) {
-    case 0:  // Flip: XOR a non-zero mask into one byte.
-      text[at] = static_cast<char>(text[at] ^ (1 + rng.below(255)));
-      break;
-    case 1: {  // Insert one byte.
-      const char c = rng.below(2) == 0
-                         ? kSalient[rng.below(kSalient.size())]
-                         : static_cast<char>(rng.below(256));
-      text.insert(text.begin() + static_cast<std::ptrdiff_t>(at), c);
-      break;
-    }
-    default: {  // Delete the token at (or after) the position.
-      std::size_t begin = at;
-      while (begin < text.size() && text::is_space(text[begin])) ++begin;
-      while (begin > 0 && !text::is_space(text[begin - 1])) --begin;
-      std::size_t end = begin;
-      while (end < text.size() && !text::is_space(text[end])) ++end;
-      text.erase(begin, end - begin);
-      break;
-    }
-  }
-  return text;
-}
+using test_support::mutate;
+using test_support::SplitMix64;
 
 std::string resave(const core::SavedModel& model) {
   if (model.bins == 0) {
@@ -283,8 +239,19 @@ std::string replace_token_after(std::string text, const std::string& after,
   return text.replace(begin, end - begin, token);
 }
 
+/// \p text with the s-expression of its tree line wrapped in a loop that
+/// repeats with probability \p prob.
+std::string loop_tree(std::string text, const std::string& prob) {
+  const std::size_t at = text.find("\ntree ") + 6;
+  text.insert(text.find('\n', at), ")");
+  return text.insert(at, "(loop " + prob + " ");
+}
+
 TEST(ByteMutation, EveryReaderRefusesTokensOutsideTheNumberLanguage) {
   const std::string model = ediamond_model_text(0, 7);
+  const std::size_t act = model.find("(act 0)");
+  ASSERT_NE(act, std::string::npos);
+  ASSERT_TRUE(core::try_load_from_string(loop_tree(model, "0.5")).has_value());
   const fs::path dir = fresh_dir("mutation_refused_tokens");
   const std::string file = checkpoint_file_bytes(dir);
   const std::string body = file.substr(0, file.rfind("crc "));
@@ -302,6 +269,13 @@ TEST(ByteMutation, EveryReaderRefusesTokensOutsideTheNumberLanguage) {
     EXPECT_FALSE(core::try_load_from_string(
                      replace_token_after(model, "\nleak ", token))
                      .has_value());
+    // The tree line: an activity index (a count) and a loop's repeat
+    // probability (a number).
+    std::string bad_index = model;
+    bad_index.replace(act, 7, std::string("(act ") + token + ")");
+    EXPECT_FALSE(core::try_load_from_string(bad_index).has_value());
+    EXPECT_FALSE(
+        core::try_load_from_string(loop_tree(model, token)).has_value());
     EXPECT_FALSE(check_checkpoint_contract(
         dir / "bad.ck",
         with_footer(replace_token_after(body, "\nnow ", token))));

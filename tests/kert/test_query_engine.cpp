@@ -23,6 +23,7 @@ namespace kertbn::core {
 namespace {
 
 using test_support::random_network;
+using test_support::runnable_tiers;
 using test_support::TierGuard;
 
 /// Random sorted evidence over up to \p max_vars nodes, excluding
@@ -358,48 +359,50 @@ TEST(QueryEngineEquivalence, EdiamondAnswersArePinned) {
 }
 
 /// Pins JunctionTree posteriors and P(e) on seeded multi-clique random
-/// networks, in incremental and full mode. Half the evidence sets sit in
-/// one node's Markov blanket, so reads of that node's clique see evidence
-/// assigned to the clique itself. Scalar tier only: SIMD tiers fuse
-/// messages and may re-associate their sums.
-TEST(QueryEngineEquivalence, RandomTreeReadsArePinnedOnScalarTier) {
+/// networks, in incremental and full mode, on every tier the host runs.
+/// Half the evidence sets sit in one node's Markov blanket, so reads of
+/// that node's clique see evidence assigned to the clique itself.
+TEST(QueryEngineEquivalence, RandomTreeReadsArePinnedOnEveryTier) {
   TierGuard guard;
-  simd::set_active_tier(simd::Tier::kScalar);
-  std::uint64_t h = kFnvOffset;
-  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
-    const bn::BayesianNetwork net = random_network(12, seed);
-    bn::JunctionTree inc(net);
-    inc.warm();
-    bn::JunctionTree full(net);
-    full.set_incremental(false);
-    kertbn::Rng rng(seed * 31 + 7);
-    for (int step = 0; step < 20; ++step) {
-      bn::SortedEvidence ev;
-      std::vector<std::size_t> nodes;
-      if (step % 2 == 0) {
-        nodes = rng.permutation(net.size());
-        nodes.resize(rng.uniform_index(4));
-      } else {
-        const std::size_t focus = rng.uniform_index(net.size());
-        for (std::size_t p : net.dag().parents(focus)) nodes.push_back(p);
-        for (std::size_t c : net.dag().children(focus)) nodes.push_back(c);
-        if (nodes.size() > 3) nodes.resize(3);
-      }
-      std::sort(nodes.begin(), nodes.end());
-      for (std::size_t v : nodes) {
-        ev.emplace_back(v, rng.uniform_index(net.variable(v).cardinality));
-      }
-      for (bn::JunctionTree* tree : {&inc, &full}) {
-        tree->calibrate_sorted(ev);
-        h = fold_double(h, tree->evidence_probability());
-        for (std::size_t v = 0; v < net.size(); ++v) {
-          if (std::binary_search(nodes.begin(), nodes.end(), v)) continue;
-          for (double x : tree->posterior(v)) h = fold_double(h, x);
+  for (simd::Tier tier : runnable_tiers()) {
+    simd::set_active_tier(tier);
+    std::uint64_t h = kFnvOffset;
+    for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+      const bn::BayesianNetwork net = random_network(12, seed);
+      bn::JunctionTree inc(net);
+      inc.warm();
+      bn::JunctionTree full(net);
+      full.set_incremental(false);
+      kertbn::Rng rng(seed * 31 + 7);
+      for (int step = 0; step < 20; ++step) {
+        bn::SortedEvidence ev;
+        std::vector<std::size_t> nodes;
+        if (step % 2 == 0) {
+          nodes = rng.permutation(net.size());
+          nodes.resize(rng.uniform_index(4));
+        } else {
+          const std::size_t focus = rng.uniform_index(net.size());
+          for (std::size_t p : net.dag().parents(focus)) nodes.push_back(p);
+          for (std::size_t c : net.dag().children(focus)) nodes.push_back(c);
+          if (nodes.size() > 3) nodes.resize(3);
+        }
+        std::sort(nodes.begin(), nodes.end());
+        for (std::size_t v : nodes) {
+          ev.emplace_back(v, rng.uniform_index(net.variable(v).cardinality));
+        }
+        for (bn::JunctionTree* tree : {&inc, &full}) {
+          tree->calibrate_sorted(ev);
+          h = fold_double(h, tree->evidence_probability());
+          for (std::size_t v = 0; v < net.size(); ++v) {
+            if (std::binary_search(nodes.begin(), nodes.end(), v)) continue;
+            for (double x : tree->posterior(v)) h = fold_double(h, x);
+          }
         }
       }
     }
+    EXPECT_EQ(h, 0xeae1b2c89f4c53c9ull)
+        << simd::to_string(tier) << std::hex << " digest 0x" << h;
   }
-  EXPECT_EQ(h, 0xeae1b2c89f4c53c9ull) << std::hex << "digest 0x" << h;
 }
 
 /// Malformed queries come back kInvalid instead of tripping a contract

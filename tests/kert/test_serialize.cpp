@@ -5,6 +5,8 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <utility>
 
 #include "bn/discrete_inference.hpp"
 #include "common/rng.hpp"
@@ -240,6 +242,23 @@ TEST(ModelSerialize, TryLoadReportsErrorsWithoutAborting) {
   ASSERT_NE(edge, std::string::npos);
   moved_edge.replace(edge, 10, "\nedge 0 5\n");
   EXPECT_FALSE(try_load_from_string(moved_edge).has_value());
+  // Tree lines the workflow reader must refuse by value, never throw on or
+  // recurse into without bound: a class count far beyond the entries
+  // present, nesting a million deep, and an index that is not a count.
+  std::string deep = "tree ";
+  for (int i = 0; i < 1000000; ++i) deep += "(seq ";
+  const std::pair<std::string, std::string> trees[] = {
+      {"tree (dchoice 1000000000000000 1 1 1 (act 0))", "expected token"},
+      {deep, "tree nested too deeply"},
+      {"tree (act inf)", "expected count, got 'inf'"}};
+  for (const auto& [tree, reason] : trees) {
+    const LoadResult bad_tree =
+        try_load_from_string(replace_line(text, "tree ", tree));
+    ASSERT_FALSE(bad_tree.has_value()) << reason;
+    EXPECT_NE(bad_tree.error().message.find("workflow tree: " + reason),
+              std::string::npos)
+        << bad_tree.error().message;
+  }
   // The original still loads — the mutations above were the problem.
   EXPECT_TRUE(try_load_from_string(text).has_value());
 }

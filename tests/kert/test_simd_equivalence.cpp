@@ -1,15 +1,11 @@
 /// \file test_simd_equivalence.cpp
-/// End-to-end per-tier equivalence for the SIMD inference kernels
-/// (ISSUE 9 satellite): the same queries served at every dispatch tier
-/// the host supports must agree — bit-identically between scalar runs,
-/// and within 1e-12 relative between a SIMD tier and the scalar
-/// reference. Also pins the invariant the serving path relies on:
-/// incremental and full recalibration stay bit-identical to each other
-/// on EVERY tier (both run through the same kernel path, so the tier
-/// cancels out of that comparison).
+/// End-to-end per-tier equivalence for the SIMD inference kernels: the
+/// same queries served at every dispatch tier the host supports must agree
+/// bit for bit with the scalar reference. Also pins the invariant the
+/// serving path relies on: incremental and full recalibration stay
+/// bit-identical to each other on EVERY tier (both run through the same
+/// kernel path).
 
-#include <algorithm>
-#include <cmath>
 #include <cstddef>
 #include <vector>
 
@@ -31,21 +27,6 @@ namespace {
 using test_support::runnable_tiers;
 using test_support::random_network;
 using test_support::TierGuard;
-
-void expect_tier_close(const std::vector<double>& scalar,
-                       const std::vector<double>& tiered, simd::Tier tier) {
-  ASSERT_EQ(scalar.size(), tiered.size());
-  for (std::size_t i = 0; i < scalar.size(); ++i) {
-    if (tier == simd::Tier::kScalar) {
-      ASSERT_EQ(scalar[i], tiered[i]) << "entry " << i;
-    } else {
-      const double scale = std::max(std::abs(scalar[i]), 1e-300);
-      ASSERT_LE(std::abs(scalar[i] - tiered[i]) / scale, 1e-12)
-          << simd::to_string(tier) << " entry " << i << ": " << scalar[i]
-          << " vs " << tiered[i];
-    }
-  }
-}
 
 /// The eDiaMoND KERT-BN served at every tier: posteriors, exceedance, and
 /// evidence probability against the scalar reference.
@@ -92,11 +73,13 @@ TEST(SimdEquivalence, EdiamondQueryEngineAgreesAcrossTiers) {
     const auto answers = engine.post(batch);
     ASSERT_EQ(answers.size(), reference.size());
     for (std::size_t i = 0; i < answers.size(); ++i) {
-      expect_tier_close(reference[i].posterior, answers[i].posterior, tier);
-      expect_tier_close({reference[i].exceedance}, {answers[i].exceedance},
-                        tier);
-      expect_tier_close({reference[i].evidence_probability},
-                        {answers[i].evidence_probability}, tier);
+      ASSERT_EQ(reference[i].posterior, answers[i].posterior)
+          << simd::to_string(tier) << " query " << i;
+      ASSERT_EQ(reference[i].exceedance, answers[i].exceedance)
+          << simd::to_string(tier) << " query " << i;
+      ASSERT_EQ(reference[i].evidence_probability,
+                answers[i].evidence_probability)
+          << simd::to_string(tier) << " query " << i;
     }
   }
 }
@@ -123,7 +106,8 @@ TEST(SimdEquivalence, RandomNetworkJunctionTreesAgreeAcrossTiers) {
       bn::JunctionTree tree(net);
       tree.calibrate_sorted(ev);
       for (std::size_t v = 0; v + 1 < net.size(); ++v) {
-        expect_tier_close(reference[v], tree.posterior(v), tier);
+        ASSERT_EQ(reference[v], tree.posterior(v))
+            << simd::to_string(tier) << " seed " << seed << " node " << v;
       }
     }
   }

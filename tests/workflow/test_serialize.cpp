@@ -2,12 +2,38 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "common/rng.hpp"
+#include "support/mutation.hpp"
 #include "workflow/ediamond.hpp"
 #include "workflow/generator.hpp"
 
 namespace kertbn::wf {
 namespace {
+
+/// The construct mix that exercises the full algebra: all four paper
+/// constructs plus map fan-outs and data-dependent choices.
+GeneratorOptions full_algebra_options() {
+  GeneratorOptions opts;
+  opts.sequence_weight = 0.35;
+  opts.parallel_weight = 0.20;
+  opts.choice_weight = 0.15;
+  opts.map_weight = 0.18;
+  opts.data_choice_weight = 0.12;
+  opts.loop_probability = 0.10;
+  return opts;
+}
+
+/// The workflow FullAlgebraRoundTrip draws from \p seed (seeds
+/// p * 1000 + i for p in 1..4 and i < 50), over 2..31 services.
+Workflow full_algebra_workflow(std::uint64_t seed) {
+  kertbn::Rng rng(seed);
+  const std::size_t n = 2 + rng.uniform_index(30);
+  return make_random_workflow(n, rng, full_algebra_options());
+}
 
 TEST(WorkflowSerialize, ActivityRoundTrip) {
   const auto node = Node::activity(7);
@@ -119,25 +145,114 @@ TEST(WorkflowSerialize, MalformedMapReportsErrorByValue) {
   EXPECT_NE(error.find("all zero"), std::string::npos);
 }
 
-/// Satellite property: serialize/deserialize is the identity over 200
-/// seeded random workflows drawn from the full algebra (all four paper
-/// constructs plus map fan-outs and data-dependent choices). Round-tripped
-/// text must be a fixed point and reductions must agree exactly.
+/// Hostile trees are refused by value, never thrown on or recursed into
+/// without bound. Counts are unsigned decimal tokens, and probabilities and
+/// weights finite numbers of the durable text codec.
+TEST(WorkflowSerialize, HostileTreesReportErrorsByValue) {
+  std::string deep;
+  for (int i = 0; i < 1000000; ++i) deep += "(seq ";
+  const std::pair<std::string, std::string> cases[] = {
+      // Class and branch counts far beyond the entries present.
+      {"(dchoice 1000000000000000 1 1 1 (act 0))", "expected token"},
+      {"(dchoice 1 1000000000000000 1 1 (act 0))", "expected token"},
+      // Nesting far past kMaxTreeDepth.
+      {deep, "nested too deeply"},
+      // Tokens outside the codec's count and number language.
+      {"(act inf)", "expected count, got 'inf'"},
+      {"(act 1e400)", "expected count"},
+      {"(act 0x10)", "expected count"},
+      {"(act +1)", "expected count"},
+      {"(act 1.0)", "expected count"},
+      {"(map 2.0 1 (act 0))", "expected count"},
+      {"(dchoice 2e0 2 0.5 0.5 1 0 0 1 (act 0) (act 1))", "expected count"},
+      {"(loop nan (act 0))", "expected number, got 'nan'"},
+      {"(loop 1e-400 (act 0))", "expected number"},
+      {"(choice 0x1p-1 (act 0) 0.5 (act 1))", "expected number"},
+      {"(map 2 inf (act 0))", "expected number"},
+      // Finite weights whose sum is not: normalizing would zero them all.
+      {"(map 2 1e308 1e308 (act 0))", "map k weights overflow"},
+  };
+  for (const auto& [text, reason] : cases) {
+    std::string error;
+    EXPECT_EQ(try_node_from_text(text, &error), nullptr) << reason;
+    EXPECT_NE(error.find(reason), std::string::npos) << error;
+  }
+  // The depth bound itself: kMaxTreeDepth levels read, one more does not.
+  // A one-child sequence is its child, so any depth of them is one leaf.
+  auto nested = [](std::size_t levels) {
+    std::string text;
+    for (std::size_t i = 0; i + 1 < levels; ++i) text += "(seq ";
+    text += "(act 0)";
+    for (std::size_t i = 0; i + 1 < levels; ++i) text += ')';
+    return text;
+  };
+  std::string error;
+  const Node::Ptr deepest = try_node_from_text(nested(kMaxTreeDepth), &error);
+  ASSERT_NE(deepest, nullptr) << error;
+  EXPECT_EQ(deepest->kind(), NodeKind::kActivity);
+  EXPECT_EQ(try_node_from_text(nested(kMaxTreeDepth + 1), &error), nullptr);
+  EXPECT_NE(error.find("nested too deeply"), std::string::npos) << error;
+}
+
+/// Seeded damage to the text of the 200 full-algebra workflows:
+/// truncations, byte flips, byte insertions and token deletions. Every
+/// input gives an error by value or a tree, and every accepted tree
+/// re-saves to a fixed point.
+TEST(WorkflowSerialize, SeededMutationsGiveErrorsOrFixedPoints) {
+  test_support::SplitMix64 rng(0xC0FFEE06);
+  std::size_t accepted = 0;
+  std::size_t refused = 0;
+  auto check = [&](const std::string& text) {
+    std::string error;
+    const Node::Ptr tree = try_node_from_text(text, &error);
+    if (tree == nullptr) {
+      EXPECT_FALSE(error.empty());
+      ++refused;
+      return;
+    }
+    ++accepted;
+    const std::string once = node_to_text(*tree);
+    const Node::Ptr again = try_node_from_text(once, &error);
+    ASSERT_NE(again, nullptr) << error << "\n" << once;
+    EXPECT_EQ(node_to_text(*again), once);
+  };
+  for (std::uint64_t p = 1; p <= 4; ++p) {
+    for (std::uint64_t i = 0; i < 50; ++i) {
+      const std::uint64_t seed = p * 1000 + i;
+      SCOPED_TRACE("seed " + std::to_string(seed));
+      const std::string text =
+          node_to_text(*full_algebra_workflow(seed).root());
+      for (int k = 0; k < 8; ++k) {
+        check(text.substr(0, rng.below(text.size())));
+      }
+      for (int k = 0; k < 40; ++k) {
+        std::string damaged = text;
+        const std::size_t rounds = 1 + rng.below(3);
+        for (std::size_t r = 0; r < rounds; ++r) {
+          damaged = test_support::mutate(damaged, rng, "0123456789 .-+eE()");
+        }
+        check(damaged);
+      }
+    }
+  }
+  // Damage to a probability's trailing digits often leaves a tree; the
+  // fixed-point check ran on each of those.
+  EXPECT_GT(accepted, 0u);
+  EXPECT_GT(refused, 0u);
+}
+
+/// Serialize/deserialize is the identity over 200 seeded random workflows
+/// drawn from the full algebra. Round-tripped text must be a fixed point
+/// and reductions must agree exactly.
 class FullAlgebraRoundTrip : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(FullAlgebraRoundTrip, TwoHundredSeededWorkflows) {
-  GeneratorOptions opts;
-  opts.sequence_weight = 0.35;
-  opts.parallel_weight = 0.20;
-  opts.choice_weight = 0.15;
-  opts.map_weight = 0.18;
-  opts.data_choice_weight = 0.12;
-  opts.loop_probability = 0.10;
   for (std::uint64_t i = 0; i < 50; ++i) {
     const std::uint64_t seed = GetParam() * 1000 + i;
     kertbn::Rng rng(seed);
     const std::size_t n = 2 + rng.uniform_index(30);
-    const Workflow original = make_random_workflow(n, rng, opts);
+    const Workflow original =
+        make_random_workflow(n, rng, full_algebra_options());
 
     const std::string text = workflow_to_text(original);
     const Workflow rebuilt = workflow_from_text(text);
